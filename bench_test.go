@@ -10,7 +10,8 @@ package repro
 //
 //	go test -bench=. -benchmem
 //
-// regenerates everything; see EXPERIMENTS.md for the mapping.
+// regenerates everything; README "Regenerating the paper's evaluation"
+// lists the forkbench equivalents.
 
 import (
 	"fmt"
@@ -293,21 +294,19 @@ loop:
 }
 
 // BenchmarkPipeTransfer measures the syscall+pipe path end to end: a
-// VM pingpong round trip per iteration (amortised).
+// VM pingpong round trip per iteration (amortised). The b.N rounds run
+// as pingpong invocations of at most 100k rounds each.
 func BenchmarkPipeTransfer(b *testing.B) {
 	sys, err := sim.NewSystem()
 	if err != nil {
 		b.Fatal(err)
 	}
-	rounds := b.N
-	if rounds > 100000 {
-		rounds = 100000
-	}
 	b.ResetTimer()
-	if err := sys.Command("pingpong", itoa(rounds)).Run(); err != nil {
-		b.Fatal(err)
+	for left := b.N; left > 0; left -= 100000 {
+		if err := sys.Command("pingpong", itoa(min(left, 100000))).Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
-	b.StopTimer()
 }
 
 // BenchmarkAssemble measures the toolchain: assembling the whole ulib
@@ -327,20 +326,18 @@ func BenchmarkAssemble(b *testing.B) {
 }
 
 // BenchmarkSpawnVM measures end-to-end VM spawn throughput: one
-// spawn+wait of /bin/true per iteration, driven by the spawnloop
-// program.
+// spawn+wait of /bin/true per iteration, driven by spawnloop
+// invocations of at most 20k spawns each.
 func BenchmarkSpawnVM(b *testing.B) {
 	sys, err := sim.NewSystem(sim.WithRAM(1 << 30))
 	if err != nil {
 		b.Fatal(err)
 	}
-	n := b.N
-	if n > 20000 {
-		n = 20000
-	}
 	b.ResetTimer()
-	if err := sys.Command("spawnloop", itoa(n), "/bin/true").Run(); err != nil {
-		b.Fatal(err)
+	for left := b.N; left > 0; left -= 20000 {
+		if err := sys.Command("spawnloop", itoa(min(left, 20000)), "/bin/true").Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -359,7 +356,7 @@ func itoa(n int) string {
 }
 
 // BenchmarkPipeVFS measures a pipe write/read through the sim File
-// layer alone (no VM), for the substrate table in EXPERIMENTS.md.
+// layer alone (no VM).
 func BenchmarkPipeVFS(b *testing.B) {
 	sys, err := sim.NewSystem(sim.WithUserland("true"))
 	if err != nil {

@@ -1,7 +1,7 @@
 // Command forkbench regenerates the evaluation of "A fork() in the
 // road" (HotOS'19) on the simulator: Figure 1, the semantics matrix
-// (Table 1), and the E3–E10 claim experiments. See DESIGN.md for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured notes.
+// (Table 1), and the E3–E10 claim experiments. README "Regenerating
+// the paper's evaluation" walks through the commands.
 //
 // Usage:
 //

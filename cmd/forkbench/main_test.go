@@ -202,10 +202,11 @@ func TestSweepConfigsCoverEveryScenario(t *testing.T) {
 	for _, s := range load.Scenarios() {
 		// The distributed cells and the migration cell stay out of the
 		// baseline matrix on purpose: the network and migration planes
-		// must be free when disabled, so BENCH_PR10.json is
-		// byte-identical back through BENCH_PR7.json. Their regression
-		// coverage is the metrics goldens and the net/migrate
-		// determinism gates, not the bench trajectory.
+		// must be free when disabled, so BENCH_PR10.json records the
+		// same sweep as the trajectory points before it (see git
+		// history). Their regression coverage is the metrics goldens
+		// and the net/migrate determinism gates, not the bench
+		// trajectory.
 		if s.Distributed() || s == load.Migrate {
 			continue
 		}

@@ -19,8 +19,8 @@ import (
 var updateGoldens = flag.Bool("update", false, "rewrite the testdata goldens")
 
 // metricsGoldens is the frozen invocation set: every case is a pure
-// function of its flags, so CI regenerates each one and byte-compares
-// it against the checked-in file (the metrics golden gate).
+// function of its flags, so TestRunMetricsGoldens regenerates each one
+// and byte-compares it against the checked-in file.
 var metricsGoldens = []struct {
 	name string
 	args []string

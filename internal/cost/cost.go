@@ -60,7 +60,7 @@ const MaxCPUs = 64
 // (HotOS'19): a minimal fork+exec around 50 µs, posix_spawn flat near
 // 165 µs, fork cost growing linearly with the number of page-table
 // entries copied (~65 µs per dirty MiB), and the fork/spawn crossover
-// in the low-MiB range. See EXPERIMENTS.md for the full rationale.
+// in the low-MiB range.
 type Model struct {
 	// Trap and dispatch overheads.
 	SyscallEntry  Ticks // user→kernel trap + dispatch
@@ -121,8 +121,8 @@ type Model struct {
 	NetLinkLatency Ticks // one-way propagation delay (not CPU time)
 }
 
-// DefaultModel returns the calibrated model. See EXPERIMENTS.md for
-// the calibration rationale.
+// DefaultModel returns the calibrated model (calibration targets in
+// the Model doc above).
 func DefaultModel() Model {
 	return Model{
 		SyscallEntry:  300 * Nanosecond,

@@ -10,8 +10,8 @@ import (
 	"repro/internal/ulib"
 )
 
-// AblationResult collects the design-choice ablations DESIGN.md calls
-// out: COW vs eager fork (the paper's §2 history) and the §8
+// AblationResult collects the design-choice ablations: COW vs eager
+// fork (the paper's §2 history) and the §8
 // mitigation that refuses fork in multithreaded processes.
 type AblationResult struct {
 	EagerRows []EagerRow

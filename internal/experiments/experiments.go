@@ -1,10 +1,11 @@
 // Package experiments regenerates every figure and table of the
-// evaluation in "A fork() in the road" (HotOS'19), plus the ablation
-// experiments DESIGN.md calls out. Each experiment is a pure function
+// evaluation in "A fork() in the road" (HotOS'19), plus design-choice
+// ablations (ablations.go). Each experiment is a pure function
 // of its configuration: the simulator is deterministic, so repeated
 // runs produce identical numbers.
 //
-// Experiment index (see DESIGN.md for the paper mapping):
+// Experiment index (README "Regenerating the paper's evaluation" runs
+// them through forkbench):
 //
 //	Figure1    — process-creation latency vs parent address-space size
 //	Table1     — executable semantics matrix: fork vs alternatives

@@ -68,8 +68,7 @@ func (k *Kernel) checkSignals(t *Thread) bool {
 		switch sig.DefaultFor(s) {
 		case sig.EffectIgnore, sig.EffectStop, sig.EffectContinue:
 			// Stop/continue are modelled as ignore; job
-			// control is out of scope (documented in
-			// DESIGN.md).
+			// control is out of scope.
 			return false
 		default:
 			k.killProcess(t.proc, s)

@@ -10,14 +10,15 @@ import (
 	"repro/sim/load"
 )
 
-// machine is one live cluster machine: a fleet.Machine plus the
-// reconcile loop's bookkeeping. The loop's virtual clock advances in
-// ReconcileEvery steps; the machine's own clock runs ahead inside each
-// step (warm-up, then each batch), and cum tracks how much of the
-// loop's elapsed time it has already spent serving.
+// machine is one live cluster machine: a persistent load.Server, its
+// cluster identity (id, zone), and the reconcile loop's bookkeeping.
+// The loop's virtual clock advances in ReconcileEvery steps; the
+// machine's own clock runs ahead inside each step (warm-up, then each
+// batch), and cum tracks how much of the loop's elapsed time it has
+// already spent serving.
 type machine struct {
 	id, pool, zone int
-	fm             *fleet.Machine
+	srv            *load.Server
 
 	// readyStep is the first step the machine takes traffic: 0 for
 	// the pre-warmed initial machines, decision step + warm-up for
@@ -157,7 +158,7 @@ func Run(spec Spec) (*Report, error) {
 // allocMachine assigns the next machine id and a placement zone in
 // pool p (round-robin over the pool's zones, skipping cordoned ones
 // when any alternative survives), and registers the machine live.
-// The fleet.Machine itself boots later, host-parallel.
+// The machine's Server boots later, host-parallel.
 func (e *engine) allocMachine(p *poolState, step int) *machine {
 	zone := -1
 	for try := 0; try < len(p.zs); try++ {
@@ -187,8 +188,8 @@ func (e *engine) cordoned(z, step int) bool {
 	return e.lastKill[z] >= 0 && step-e.lastKill[z] < e.spec.CordonSteps
 }
 
-// boot builds the fleet.Machines for the allocated shells,
-// host-parallel, merging in id order.
+// boot builds the Servers for the allocated shells, host-parallel,
+// merging in id order.
 func (e *engine) boot(ms []*machine) error {
 	if len(ms) == 0 {
 		return nil
@@ -196,7 +197,7 @@ func (e *engine) boot(ms []*machine) error {
 	err := fleet.ForEach(fleet.PoolSize(e.spec.Parallelism, len(ms)), len(ms), func(i int) error {
 		m := ms[i]
 		ps := e.pools[m.pool].spec
-		fm, err := fleet.NewMachineFrom(e.boots, m.id, m.zone, load.Config{
+		srv, err := e.boots.Server(load.Config{
 			Via:            ps.Via,
 			CPUs:           ps.CPUs,
 			HeapBytes:      ps.HeapBytes,
@@ -206,14 +207,14 @@ func (e *engine) boot(ms []*machine) error {
 		if err != nil {
 			return fmt.Errorf("cluster: boot machine %d (pool %s): %w", m.id, ps.Name, err)
 		}
-		m.fm = fm
+		m.srv = srv
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	for _, m := range ms {
-		e.pools[m.pool].warmupPTEs += m.fm.WarmupPTECopies()
+		e.pools[m.pool].warmupPTEs += m.srv.WarmupPTECopies()
 	}
 	return nil
 }
@@ -320,8 +321,8 @@ func (e *engine) kills(step int) {
 			} else {
 				p.backlog = append(p.backlog, m.queue...)
 			}
-			if m.fm != nil {
-				if rss := m.fm.PeakRSSBytes(); rss > p.peakMachineRSS {
+			if m.srv != nil {
+				if rss := m.srv.PeakRSSBytes(); rss > p.peakMachineRSS {
 					p.peakMachineRSS = rss
 				}
 			}
@@ -437,7 +438,7 @@ func (e *engine) serve(step int) error {
 		if owed >= allot {
 			return nil
 		}
-		b, err := m.fm.Serve(len(m.queue), allot-owed)
+		b, err := m.srv.ServeBatch(len(m.queue), allot-owed)
 		if err != nil {
 			return fmt.Errorf("cluster: machine %d (pool %s): %w", m.id, e.pools[m.pool].spec.Name, err)
 		}
@@ -573,7 +574,7 @@ func (e *engine) autoscale(step int, stepServe []uint64) []*machine {
 func (e *engine) bootReady(ms []*machine) {
 	for _, m := range ms {
 		decision := -m.readyStep // end of step decision-1 == start of step decision
-		warmSteps := int((m.fm.WarmupNanos() + e.dt - 1) / e.dt)
+		warmSteps := int((m.srv.WarmupNanos() + e.dt - 1) / e.dt)
 		m.readyStep = decision + warmSteps
 		p := e.pools[m.pool]
 		lat := uint64(warmSteps) * e.dt
@@ -592,10 +593,10 @@ func (e *engine) scaleDown(p *poolState, step int, util float64) bool {
 		if !m.ready(step) || len(m.queue) > 0 {
 			continue
 		}
-		if rss := m.fm.PeakRSSBytes(); rss > p.peakMachineRSS {
+		if rss := m.srv.PeakRSSBytes(); rss > p.peakMachineRSS {
 			p.peakMachineRSS = rss
 		}
-		stats, err := m.fm.Retire()
+		stats, err := m.srv.Drain()
 		if err == nil {
 			p.drains = append(p.drains, stats)
 		}
@@ -653,13 +654,13 @@ func (e *engine) done(step int) bool {
 func (e *engine) retireAll() {
 	for _, p := range e.pools {
 		for _, m := range p.machines {
-			if m.fm == nil {
+			if m.srv == nil {
 				continue
 			}
-			if rss := m.fm.PeakRSSBytes(); rss > p.peakMachineRSS {
+			if rss := m.srv.PeakRSSBytes(); rss > p.peakMachineRSS {
 				p.peakMachineRSS = rss
 			}
-			if stats, err := m.fm.Retire(); err == nil {
+			if stats, err := m.srv.Drain(); err == nil {
 				p.drains = append(p.drains, stats)
 			}
 		}

@@ -77,6 +77,37 @@ func TestFleetDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestColdBootMatchesStamped pins Spec.ColdBoot as host-only for the
+// waves that boot a replacement load.Server mid-machine: a cold-booted
+// replacement and one stamped from the server-template cache must give
+// the same report bytes, at GOMAXPROCS 1 and 8. The vfork rebalance
+// reaches the replacement through its refused-migration fallback.
+func TestColdBootMatchesStamped(t *testing.T) {
+	specs := []fleet.Spec{
+		{Machines: 3, Scenario: fleet.RollingRestart, Via: sim.ForkExec, Requests: 3, HeapBytes: 8 << 20, KeepPerMachine: true},
+		{Machines: 3, Scenario: fleet.RollingRestart, Via: sim.VforkExec, Requests: 3, HeapBytes: 8 << 20, KeepPerMachine: true},
+		{Machines: 3, Scenario: fleet.Rebalance, Via: sim.VforkExec, Requests: 3, HeapBytes: 4 << 20, KeepPerMachine: true},
+	}
+	for _, spec := range specs {
+		spec := spec
+		t.Run(fmt.Sprintf("%s-%v", spec.Scenario, spec.Via), func(t *testing.T) {
+			cold := spec
+			cold.ColdBoot = true
+			want := runJSON(t, cold, 1)
+			for _, r := range []struct {
+				name  string
+				spec  fleet.Spec
+				procs int
+			}{{"cold", cold, 8}, {"stamped", spec, 1}, {"stamped", spec, 8}} {
+				if got := runJSON(t, r.spec, r.procs); !bytes.Equal(want, got) {
+					t.Errorf("%s report at GOMAXPROCS=%d differs from cold boot at GOMAXPROCS=1:\n%s\nvs\n%s",
+						r.name, r.procs, want, got)
+				}
+			}
+		})
+	}
+}
+
 // TestParallelismDoesNotChangeResult pins the same guarantee for the
 // explicit Spec.Parallelism knob: the worker-pool width is a
 // host-performance control, never a semantic one.
@@ -103,3 +134,31 @@ func TestParallelismDoesNotChangeResult(t *testing.T) {
 		}
 	}
 }
+
+// TestForEachDeterministicError: the exported parallel-for returns the
+// lowest failing index's error at any worker count.
+func TestForEachDeterministicError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		calls := make([]bool, 16)
+		err := fleet.ForEach(workers, 16, func(i int) error {
+			calls[i] = true
+			if i == 5 || i == 11 {
+				return &indexErr{i}
+			}
+			return nil
+		})
+		ie, ok := err.(*indexErr)
+		if !ok || ie.i != 5 {
+			t.Fatalf("workers=%d: err = %v, want index 5", workers, err)
+		}
+		for i := 0; i <= 5; i++ {
+			if !calls[i] {
+				t.Errorf("workers=%d: index %d never ran", workers, i)
+			}
+		}
+	}
+}
+
+type indexErr struct{ i int }
+
+func (e *indexErr) Error() string { return "fail" }

@@ -82,18 +82,23 @@
 // internal/experiments extends the §5 server-claim table to fleet
 // scale with it (experiments.FleetClaim, `forkbench fleetclaim`).
 //
-// The sim/cluster subpackage builds the autoscaling layer on top:
-// Machine wraps one persistent load.Server as a cluster node, and
-// cluster's reconcile loop boots and retires Machines between pool
-// bounds in virtual time (experiments.ScaleOutClaim, `forkbench
-// cluster`).
+// The sim/cluster package builds the autoscaling layer beside it: each
+// cluster node is one persistent load.Server, and cluster's reconcile
+// loop boots and drains them between pool bounds in virtual time
+// (experiments.ScaleOutClaim, `forkbench cluster`), using ForEach and
+// PoolSize for its host-parallel steps.
 //
 // Machines are stamped from frozen templates, not cold-booted: one
 // warmed master per distinct (shape, strategy, workload) is frozen
 // via sim.System.Snapshot and host-COW-cloned per machine, so fleet
-// host cost stops being Θ(heap)×N (Spec.ColdBoot opts out; the report
-// is byte-identical either way, which CI's clone-equivalence gate
-// enforces — see README "Template machines & O(1) clone").
+// host cost stops being Θ(heap)×N. A run shares one load.Templates
+// cache: serve phases stamp from its scenario templates, and a
+// rolling wave's replacement instance is a load.Server stamped from
+// its server templates, warm-up cost and page-table bill carried over.
+// Spec.ColdBoot passes a nil cache instead, and every machine boots
+// from scratch; the report is byte-identical either way, which CI's
+// clone-equivalence gate and TestColdBootMatchesStamped enforce (see
+// README "Template machines & O(1) clone").
 //
 // Distributed loads (load.NetLB, load.KVShard) run one sim/net cell
 // per fleet machine: the cell is a self-contained deterministic

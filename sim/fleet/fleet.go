@@ -505,10 +505,13 @@ func Run(spec Spec) (*Result, error) {
 // machine-id-ordered merger — the common core of the in-process run
 // and each shard worker.
 func runRange(spec Spec, lo, hi, workers int) (*merger, error) {
-	tpls := newTemplates(spec.ColdBoot)
+	var tc *load.Templates // nil: ColdBoot
+	if !spec.ColdBoot {
+		tc = load.NewTemplates()
+	}
 	m := newMerger(lo, hi-lo, spec.KeepPerMachine)
 	err := forEach(workers, hi-lo, func(i int) error {
-		mm, _, err := runMachine(spec, lo+i, tpls)
+		mm, _, err := runMachine(spec, lo+i, tc)
 		if err != nil {
 			return fmt.Errorf("fleet: machine %d: %w", lo+i, err)
 		}
@@ -522,36 +525,30 @@ func runRange(spec Spec, lo, hi, workers int) (*merger, error) {
 }
 
 // runMachine executes machine id's phases, stamping each phase's
-// machine from tpls (nil = cold boots). The returned debug state
-// carries the rolling runner's leak-check counters for the tests.
-func runMachine(spec Spec, id int, tpls *templates) (*MachineMetrics, *restartDebug, error) {
+// machine from tc (nil = cold boots). The returned drain books are the
+// restarted replacement instance's (nil when the scenario restarted
+// nothing), for the leak-invariant tests.
+func runMachine(spec Spec, id int, tc *load.Templates) (*MachineMetrics, *load.DrainStats, error) {
 	ms := spec.machine(id)
 	mm := &MachineMetrics{Machine: ms.ID, CPUs: ms.CPUs, Strategy: ms.Via.String()}
-	var dbg *restartDebug
+	var drain *load.DrainStats
 	switch spec.Scenario {
 	case RollingRestart:
-		warm, err := tpls.run(ms.loadConfig())
+		warm, err := tc.Run(ms.loadConfig())
 		if err != nil {
 			return nil, nil, fmt.Errorf("warm phase: %w", err)
 		}
-		rr, d, err := runRestartedMachine(ms, tpls)
-		if err != nil {
+		if drain, err = runRestartedMachine(ms, tc, mm, warm); err != nil {
 			return nil, nil, fmt.Errorf("restart phase: %w", err)
 		}
-		mm.Phases = []*load.Metrics{warm, rr.Serve}
-		mm.RestartNanos = rr.RestartNanos
-		mm.RestartPTECopies = rr.RestartPTECopies
-		dbg = d
 	case Rebalance:
-		warm, err := tpls.run(ms.loadConfig())
+		warm, err := tc.Run(ms.loadConfig())
 		if err != nil {
 			return nil, nil, fmt.Errorf("warm phase: %w", err)
 		}
-		d, err := runRebalancedMachine(ms, tpls, mm, warm)
-		if err != nil {
+		if drain, err = runRebalancedMachine(ms, tc, mm, warm); err != nil {
 			return nil, nil, fmt.Errorf("rebalance phase: %w", err)
 		}
-		dbg = d
 	case Chaos:
 		// Chaos serves failure-tolerant traffic (validate pinned
 		// Spec.Load) under this machine's derived wave schedule. The
@@ -566,26 +563,26 @@ func runMachine(spec Spec, id int, tpls *templates) (*MachineMetrics, *restartDe
 		} else {
 			cfg.Faults = fault.Chaos(spec.FaultSeed, ms.ID)
 		}
-		m, err := tpls.run(cfg)
+		m, err := tc.Run(cfg)
 		if err != nil {
 			return nil, nil, fmt.Errorf("chaos phase: %w", err)
 		}
 		mm.Phases = []*load.Metrics{m}
 	case Surge:
-		base, err := tpls.run(ms.loadConfig())
+		base, err := tc.Run(ms.loadConfig())
 		if err != nil {
 			return nil, nil, fmt.Errorf("baseline phase: %w", err)
 		}
 		spike := ms.loadConfig()
 		spike.Requests = ms.Requests * spec.SurgeFactor
 		spike.Window = ms.baseWindow() * spec.SurgeFactor
-		surge, err := tpls.run(spike)
+		surge, err := tc.Run(spike)
 		if err != nil {
 			return nil, nil, fmt.Errorf("surge phase: %w", err)
 		}
 		mm.Phases = []*load.Metrics{base, surge}
 	default: // Uniform, Heterogeneous
-		m, err := tpls.run(ms.loadConfig())
+		m, err := tc.Run(ms.loadConfig())
 		if err != nil {
 			return nil, nil, err
 		}
@@ -601,7 +598,7 @@ func runMachine(spec Spec, id int, tpls *templates) (*MachineMetrics, *restartDe
 	if nanos > 0 {
 		mm.RequestsPerVSec = float64(requests) * 1e9 / float64(nanos)
 	}
-	return mm, dbg, nil
+	return mm, drain, nil
 }
 
 // JSON renders the result as the byte-stable fleet report: same Spec,

@@ -10,8 +10,8 @@ import (
 
 // TestRollingRestartLeaksNothing is the fleet leak invariant: after a
 // rolling restart — warm pool created through any strategy, traffic
-// served, pool torn down — every machine's process and physical-frame
-// counts must be exactly back at the post-warm-up baseline. A fleet
+// served, pool torn down — every machine's process, physical-frame and
+// commit counts must be exactly back at the post-warm-up baseline. A fleet
 // that leaks a page per restart wave loses a machine's worth of RAM
 // over enough deploys.
 func TestRollingRestartLeaksNothing(t *testing.T) {
@@ -25,18 +25,17 @@ func TestRollingRestartLeaksNothing(t *testing.T) {
 				Requests:  4,
 				HeapBytes: 8 << 20,
 			}.withDefaults()
-			tpls := newTemplates(false)
+			tc := load.NewTemplates()
 			for id := 0; id < spec.Machines; id++ {
-				_, dbg, err := runMachine(spec, id, tpls)
+				_, d, err := runMachine(spec, id, tc)
 				if err != nil {
 					t.Fatalf("machine %d: %v", id, err)
 				}
-				if dbg == nil {
-					t.Fatalf("machine %d: rolling runner returned no debug state", id)
+				if d == nil {
+					t.Fatalf("machine %d: rolling runner returned no drain books", id)
 				}
-				if dbg.EndProcs != dbg.BaseProcs || dbg.EndPages != dbg.BasePages {
-					t.Errorf("machine %d leaked: procs %d -> %d, pages %d -> %d",
-						id, dbg.BaseProcs, dbg.EndProcs, dbg.BasePages, dbg.EndPages)
+				if d.EndProcs != d.BaseProcs || d.EndPages != d.BasePages || d.EndCommit != d.BaseCommit {
+					t.Errorf("machine %d leaked: %+v", id, *d)
 				}
 			}
 		})
@@ -181,7 +180,7 @@ func TestRollingRestartTax(t *testing.T) {
 	run := func(via sim.Strategy) *MachineMetrics {
 		spec := Spec{Machines: 1, Scenario: RollingRestart, Via: via,
 			Requests: 4, HeapBytes: 32 << 20}.withDefaults()
-		mm, _, err := runMachine(spec, 0, newTemplates(false))
+		mm, _, err := runMachine(spec, 0, load.NewTemplates())
 		if err != nil {
 			t.Fatal(err)
 		}

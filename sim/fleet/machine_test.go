@@ -4,61 +4,22 @@ import (
 	"testing"
 
 	"repro/sim"
-	"repro/sim/fleet"
 	"repro/sim/load"
 )
 
-// TestMachineLifecycle: an incrementally added machine boots, serves,
-// exports identified samples, and retires with clean books — the
-// add/remove primitive sim/cluster scales with.
-func TestMachineLifecycle(t *testing.T) {
-	m, err := fleet.NewMachine(7, 2, load.Config{
-		Via: sim.Spawn, HeapBytes: 4 << 20, Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.WarmupNanos() == 0 {
-		t.Error("warm-up took no virtual time")
-	}
-	b, err := m.Serve(6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Served != 6 || b.Failed != 0 {
-		t.Errorf("served %d failed %d, want 6/0", b.Served, b.Failed)
-	}
-	s := m.Sample()
-	if s.Machine != 7 || s.Zone != 2 {
-		t.Errorf("sample identity %d/%d, want 7/2", s.Machine, s.Zone)
-	}
-	if s.Requests != 6 || s.RSSBytes == 0 {
-		t.Errorf("sample state %+v, want 6 requests and live RSS", s.Snapshot)
-	}
-	d, err := m.Retire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.EndProcs != d.BaseProcs || d.EndPages != d.BasePages || d.EndCommit != d.BaseCommit {
-		t.Errorf("retire leaked: %+v", d)
-	}
-	if _, err := m.Serve(1, 0); err == nil {
-		t.Error("Serve after Retire did not error")
-	}
-}
-
 // TestMachineWarmupScalesWithHeapUnderFork: the cluster premise at
 // machine granularity — a fork machine's warm-up grows with the dirty
-// heap, a spawn machine's stays flat.
+// heap, a spawn machine's stays flat. Each fleet machine is a
+// load.Server, so the warm-up is measured on one directly.
 func TestMachineWarmupScalesWithHeapUnderFork(t *testing.T) {
 	warm := func(via sim.Strategy, heap uint64) uint64 {
 		t.Helper()
-		m, err := fleet.NewMachine(0, 0, load.Config{Via: via, HeapBytes: heap, Workers: 4})
+		s, err := load.NewServer(load.Config{Via: via, HeapBytes: heap, Workers: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer m.Retire()
-		return m.WarmupNanos()
+		defer s.Drain()
+		return s.WarmupNanos()
 	}
 	forkSmall, forkBig := warm(sim.ForkExec, 8<<20), warm(sim.ForkExec, 64<<20)
 	if forkBig <= forkSmall {
@@ -72,31 +33,3 @@ func TestMachineWarmupScalesWithHeapUnderFork(t *testing.T) {
 			forkBig-forkSmall, spawnBig-spawnSmall)
 	}
 }
-
-// TestForEachDeterministicError: the exported parallel-for returns the
-// lowest failing index's error at any worker count.
-func TestForEachDeterministicError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		calls := make([]bool, 16)
-		err := fleet.ForEach(workers, 16, func(i int) error {
-			calls[i] = true
-			if i == 5 || i == 11 {
-				return &indexErr{i}
-			}
-			return nil
-		})
-		ie, ok := err.(*indexErr)
-		if !ok || ie.i != 5 {
-			t.Fatalf("workers=%d: err = %v, want index 5", workers, err)
-		}
-		for i := 0; i <= 5; i++ {
-			if !calls[i] {
-				t.Errorf("workers=%d: index %d never ran", workers, i)
-			}
-		}
-	}
-}
-
-type indexErr struct{ i int }
-
-func (e *indexErr) Error() string { return "fail" }

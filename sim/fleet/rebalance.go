@@ -17,8 +17,10 @@ import (
 // A worker the checkpoint refuses to serialize (the strategy left it
 // entangled with its machine — a vfork borrower's address space) can
 // not be migrated: the machine falls back to the full rolling restart,
-// and mm.RestartNanos carries the re-warm tax the refusal cost.
-func runRebalancedMachine(ms machineSpec, tpls *templates, mm *MachineMetrics, warm *load.Metrics) (*restartDebug, error) {
+// mm.RestartNanos carries the re-warm tax the refusal cost, and the
+// replacement's drain books are returned (nil when the migration
+// succeeded).
+func runRebalancedMachine(ms machineSpec, tc *load.Templates, mm *MachineMetrics, warm *load.Metrics) (*load.DrainStats, error) {
 	mcfg := ms.loadConfig()
 	mcfg.Scenario = load.Migrate
 	mcfg.Requests = 1 // one migration: this machine's resident worker
@@ -32,19 +34,12 @@ func runRebalancedMachine(ms machineSpec, tpls *templates, mm *MachineMetrics, w
 		// Not serializable one-sided: the entangled worker pins the
 		// machine, and the wave pays the full restart for it.
 		mm.MigrateRefused = mig.MigrateRefused
-		rr, dbg, err := runRestartedMachine(ms, tpls)
-		if err != nil {
-			return nil, err
-		}
-		mm.Phases = []*load.Metrics{warm, rr.Serve}
-		mm.RestartNanos = rr.RestartNanos
-		mm.RestartPTECopies = rr.RestartPTECopies
-		return dbg, nil
+		return runRestartedMachine(ms, tc, mm, warm)
 	}
 
 	mm.MigrateNanos = mig.MigrateDowntimeNanos
 	mm.MigratePagesSent = mig.MigratePagesSent
-	serve, err := tpls.run(ms.loadConfig())
+	serve, err := tc.Run(ms.loadConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/sim"
+	"repro/sim/load"
 )
 
 // TestRebalanceOutage pins the rebalance wave's claim: live-migrating
@@ -16,7 +17,7 @@ func TestRebalanceOutage(t *testing.T) {
 		t.Helper()
 		spec := Spec{Machines: 1, Scenario: Rebalance, Via: via,
 			Requests: 4, HeapBytes: 32 << 20}.withDefaults()
-		mm, _, err := runMachine(spec, 0, newTemplates(false))
+		mm, _, err := runMachine(spec, 0, load.NewTemplates())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +48,7 @@ func TestRebalanceOutage(t *testing.T) {
 	// the machine and re-warming from scratch.
 	restartSpec := Spec{Machines: 1, Scenario: RollingRestart, Via: sim.ForkExec,
 		Requests: 4, HeapBytes: 32 << 20}.withDefaults()
-	restarted, _, err := runMachine(restartSpec, 0, newTemplates(false))
+	restarted, _, err := runMachine(restartSpec, 0, load.NewTemplates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestRebalanceOutage(t *testing.T) {
 func TestRebalanceVforkFallsBack(t *testing.T) {
 	spec := Spec{Machines: 1, Scenario: Rebalance, Via: sim.VforkExec,
 		Requests: 4, HeapBytes: 8 << 20}.withDefaults()
-	mm, dbg, err := runMachine(spec, 0, newTemplates(false))
+	mm, d, err := runMachine(spec, 0, load.NewTemplates())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +77,11 @@ func TestRebalanceVforkFallsBack(t *testing.T) {
 	if mm.RestartNanos == 0 {
 		t.Error("fallback restart was free; the refusal must cost the full re-warm")
 	}
-	if dbg == nil {
-		t.Fatal("fallback restart returned no leak-check state")
+	if d == nil {
+		t.Fatal("fallback restart returned no drain books")
 	}
-	if dbg.EndProcs != dbg.BaseProcs || dbg.EndPages != dbg.BasePages {
-		t.Errorf("fallback leaked: %+v", dbg)
+	if d.EndProcs != d.BaseProcs || d.EndPages != d.BasePages || d.EndCommit != d.BaseCommit {
+		t.Errorf("fallback leaked: %+v", *d)
 	}
 }
 

@@ -65,6 +65,15 @@
 // failure-tolerant scenario; experiments.ChaosClaim (E11, `forkbench
 // chaos`) and the fleet chaos scenario build on it.
 //
+// Server is the ready-to-serve machine: booted, heap dirtied, worker
+// pool pre-created through the strategy, with the warm-up's virtual
+// cost and page-table bill on record. It serves in budgeted batches
+// (ServeBatch — sim/cluster's nodes, the net cells' backends) or as one
+// measured prefork phase (Run — sim/fleet's rolling-restart
+// replacement instance), and Drain closes its leak books.
+// Templates.Server stamps one from a frozen warmed server instead of
+// booting it, with identical virtual-time behaviour.
+//
 // The distributed scenarios (NetLB, KVShard) put several Servers on
 // sim/net's deterministic message fabric inside one cell: an L7
 // balancer fronting a backend pool whose restarted member re-warms

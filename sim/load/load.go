@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/addrspace"
+	"repro/internal/cost"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/sim"
@@ -75,9 +76,10 @@ type Config struct {
 	// (Checkpoint), or waves (ForkStorm).
 	Requests int
 
-	// Workers is the pipeline depth (Pipeline, default 3) or the
+	// Workers is the pipeline depth (Pipeline, default 3), the
 	// burst size of simultaneously live children (ForkStorm,
-	// default 64).
+	// default 64), or a Server's pre-created worker pool (default
+	// 4×CPUs).
 	Workers int
 
 	// Window overrides the closed loop's in-flight request window:
@@ -111,18 +113,10 @@ type Config struct {
 	// RequestWorkMiB gives every request served by a Server a private
 	// working set: the worker allocates and write-touches this many
 	// MiB (the hog program) before exiting, so a request costs CPU
-	// and memory beyond its creation. Used by Server/ServeBatch
-	// (sim/cluster's per-request body); the scenario drivers ignore
-	// it. 0 = no per-request working set.
+	// and memory beyond its creation. Used by Server.ServeBatch
+	// (sim/cluster's per-request body); the scenario drivers, and so
+	// Server.Run, ignore it. 0 = no per-request working set.
 	RequestWorkMiB int
-
-	// OnSample, when non-nil, receives a mid-run metric Snapshot at
-	// every driver sample point — the peak-occupancy instants the
-	// scenarios already probe for the RSS high-water mark. The hook
-	// runs on the driver's goroutine inside virtual time; it must not
-	// mutate the machine. sim/cluster's autoscaler watches machines
-	// through it.
-	OnSample func(Snapshot)
 
 	// Faults, when non-nil, runs the measured loop in chaos mode:
 	// the schedule is installed after warm-up (so setup stays
@@ -365,24 +359,6 @@ func HumanBytes(n uint64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// Snapshot is one mid-run metric sample: the machine's live state at a
-// driver sample point, on its own virtual clock. Deterministic — the
-// same Config produces the same sequence of Snapshots.
-type Snapshot struct {
-	// VirtualNanos is the machine's virtual time at the sample
-	// (since boot, warm-up included).
-	VirtualNanos uint64
-	// Requests/FailedRequests/Creations are the loop's running
-	// totals at the sample.
-	Requests       uint64
-	FailedRequests uint64
-	Creations      uint64
-	// InFlight is how many requests the driver currently holds live.
-	InFlight int
-	// RSSBytes is the machine's current resident physical memory.
-	RSSBytes uint64
-}
-
 // driver carries one run's state: the booted machine, the server heap
 // VMA, and the counters accumulated by the scenario loop.
 type driver struct {
@@ -395,30 +371,17 @@ type driver struct {
 	creations uint64
 	failed    uint64
 	peakPages uint64
-	inflight  int
 
 	// serverCPU is the virtual CPU time the SMPServer scenario's
 	// server process executed during the loop.
 	serverCPU uint64
 }
 
-// sample records the physical-memory high-water mark and feeds the
-// mid-run sampling hook; scenarios call it at their peak-occupancy
-// points (with driver.inflight set to the live request count).
+// sample records the physical-memory high-water mark; scenarios call
+// it at their peak-occupancy points.
 func (d *driver) sample() {
-	a := d.k.Phys().AllocatedPages()
-	if a > d.peakPages {
+	if a := d.k.Phys().AllocatedPages(); a > d.peakPages {
 		d.peakPages = a
-	}
-	if d.cfg.OnSample != nil {
-		d.cfg.OnSample(Snapshot{
-			VirtualNanos:   uint64(d.k.Elapsed()),
-			Requests:       d.requests,
-			FailedRequests: d.failed,
-			Creations:      d.creations,
-			InFlight:       d.inflight,
-			RSSBytes:       a * uint64(mem.PageSize),
-		})
 	}
 }
 
@@ -455,10 +418,9 @@ type Prepared struct {
 }
 
 // Prepare warms an existing machine for cfg's scenario — the step
-// between boot and the measured loop. sim/fleet's rolling-restart
-// driver calls it directly so a replacement instance's warm-up cost
-// (heap dirtying, pool creation) can be measured separately from its
-// serve phase.
+// between boot and the measured loop: map and dirty the server heap.
+// Run, NewTemplate, NewServer and the migration cell's source machine
+// all warm through it.
 func Prepare(sys *sim.System, cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 
@@ -563,42 +525,48 @@ func (p *Prepared) Run() (*Metrics, error) {
 		return nil, fmt.Errorf("load: %s via %v: %w", cfg.Scenario, cfg.Via, err)
 	}
 
-	elapsed := uint64(d.k.Elapsed() - t0)
-	m := &Metrics{
-		Scenario:  string(cfg.Scenario),
-		Strategy:  cfg.Via.String(),
-		HeapBytes: heap,
-		RAMBytes:  cfg.RAMBytes,
-		NumCPUs:   cfg.CPUs,
-		Requests:  d.requests,
-		Creations: d.creations,
-
-		FailedRequests: d.failed,
-		OOMKills:       uint64(d.k.OOMKills - oomBase),
-
-		VirtualNanos: elapsed,
-		PeakRSSBytes: d.peakPages * uint64(mem.PageSize),
-
-		PageFaults:      meter.PageFaults,
-		PageCopies:      meter.PageCopies,
-		PageZeroes:      meter.PageZeroes,
-		PTECopies:       meter.PTECopies,
-		TLBShootdowns:   meter.TLBShootdowns,
-		ContextSwitches: d.k.ContextSwitches() - cswBase,
-		Syscalls:        meter.Syscalls,
-		Instructions:    meter.Instructions,
-
-		CPUUtilization: make([]float64, cfg.CPUs),
-		ServerCPUNanos: d.serverCPU,
-	}
-	if elapsed > 0 {
-		m.RequestsPerVSec = float64(m.Requests) * 1e9 / float64(elapsed)
-		m.CreationsPerVSec = float64(m.Creations) * 1e9 / float64(elapsed)
-	}
+	m := loopMetrics(cfg, heap, d.requests, d.creations, uint64(d.k.Elapsed()-t0), meter)
+	m.FailedRequests = d.failed
+	m.OOMKills = uint64(d.k.OOMKills - oomBase)
+	m.PeakRSSBytes = d.peakPages * uint64(mem.PageSize)
+	m.ContextSwitches = d.k.ContextSwitches() - cswBase
+	m.CPUUtilization = make([]float64, cfg.CPUs)
+	m.ServerCPUNanos = d.serverCPU
 	for _, cs := range d.k.CPUStates() {
 		if advanced := uint64(cs.Clock) - clockBase[cs.CPU]; advanced > 0 {
 			m.CPUUtilization[cs.CPU] = float64(uint64(cs.Busy)-busyBase[cs.CPU]) / float64(advanced)
 		}
 	}
 	return m, nil
+}
+
+// loopMetrics assembles what every measured loop reports: the run's
+// identity, its unit counts and virtual time, the event counters of
+// the loop's machines' meters (summed), and the per-virtual-second
+// rates. Callers fill in their scenario-specific fields.
+func loopMetrics(cfg Config, heapBytes, requests, creations, elapsed uint64, meters ...*cost.Meter) *Metrics {
+	m := &Metrics{
+		Scenario:     string(cfg.Scenario),
+		Strategy:     cfg.Via.String(),
+		HeapBytes:    heapBytes,
+		RAMBytes:     cfg.RAMBytes,
+		NumCPUs:      cfg.CPUs,
+		Requests:     requests,
+		Creations:    creations,
+		VirtualNanos: elapsed,
+	}
+	for _, meter := range meters {
+		m.PageFaults += meter.PageFaults
+		m.PageCopies += meter.PageCopies
+		m.PageZeroes += meter.PageZeroes
+		m.PTECopies += meter.PTECopies
+		m.TLBShootdowns += meter.TLBShootdowns
+		m.Syscalls += meter.Syscalls
+		m.Instructions += meter.Instructions
+	}
+	if elapsed > 0 {
+		m.RequestsPerVSec = float64(requests) * 1e9 / float64(elapsed)
+		m.CreationsPerVSec = float64(creations) * 1e9 / float64(elapsed)
+	}
+	return m
 }

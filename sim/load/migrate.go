@@ -3,6 +3,7 @@ package load
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/addrspace"
 	"repro/internal/cost"
@@ -153,51 +154,15 @@ func runMigrateCell(cfg Config) (*Metrics, error) {
 		}
 	}
 
-	elapsed := uint64(srcK.Elapsed() - t0)
-	m := &Metrics{
-		Scenario:  string(cfg.Scenario),
-		Strategy:  cfg.Via.String(),
-		HeapBytes: prep.heapBytes,
-		RAMBytes:  cfg.RAMBytes,
-		NumCPUs:   cfg.CPUs,
-
-		Requests:  c.migrations,
-		Creations: c.creations,
-
-		VirtualNanos: elapsed,
-		PeakRSSBytes: c.peakPages * uint64(mem.PageSize),
-
-		MigrateRounds:        c.roundsRun,
-		MigratePagesSent:     c.pagesSent,
-		MigrateDowntimeNanos: uint64(c.downtime),
-		MigrateRefused:       c.refused,
-	}
-	for _, meter := range []*cost.Meter{srcK.Meter(), dstK.Meter()} {
-		m.PageFaults += meter.PageFaults
-		m.PageCopies += meter.PageCopies
-		m.PageZeroes += meter.PageZeroes
-		m.PTECopies += meter.PTECopies
-		m.TLBShootdowns += meter.TLBShootdowns
-		m.Syscalls += meter.Syscalls
-		m.Instructions += meter.Instructions
-	}
+	m := loopMetrics(cfg, prep.heapBytes, c.migrations, c.creations,
+		uint64(srcK.Elapsed()-t0), srcK.Meter(), dstK.Meter())
+	m.PeakRSSBytes = c.peakPages * uint64(mem.PageSize)
+	m.MigrateRounds = c.roundsRun
+	m.MigratePagesSent = c.pagesSent
+	m.MigrateDowntimeNanos = uint64(c.downtime)
+	m.MigrateRefused = c.refused
 	m.ContextSwitches = srcK.ContextSwitches() + dstK.ContextSwitches() - cswBase
-	tot := fab.Totals()
-	m.NetPacketsSent = tot.PacketsSent
-	m.NetPacketsRecv = tot.PacketsRecv
-	m.NetBytesSent = tot.BytesSent
-	m.NetBytesRecv = tot.BytesRecv
-	m.NetDrops = tot.DropsSend + tot.DropsRecv
-	for _, fl := range fab.Flows() {
-		m.NetFlows = append(m.NetFlows, NetFlow{
-			Src: fl.Src, Dst: fl.Dst, Flow: fl.Flow,
-			Packets: fl.Packets, Bytes: fl.Bytes, Drops: fl.Drops,
-		})
-	}
-	if elapsed > 0 {
-		m.RequestsPerVSec = float64(m.Requests) * 1e9 / float64(elapsed)
-		m.CreationsPerVSec = float64(m.Creations) * 1e9 / float64(elapsed)
-	}
+	m.addFabric(fab)
 	return m, nil
 }
 
@@ -396,14 +361,7 @@ func (c *migrateCell) ship(flow string, bytes uint64) (cost.Ticks, error) {
 		}
 		// Drain the wave: every queued chunk either arrives (acked by
 		// its tag) or is eaten at delivery and stays unacknowledged.
-		for {
-			if _, ok := c.fab.NextArrival(); !ok {
-				break
-			}
-			p, ok := c.fab.DeliverNext()
-			if !ok {
-				continue
-			}
+		for _, p := range c.fab.Deliver(math.MaxUint64) {
 			if !acked[p.Tag] {
 				acked[p.Tag] = true
 				remaining--

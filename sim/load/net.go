@@ -121,10 +121,11 @@ type netCell struct {
 const netClientAddr = 0
 const netLBAddr = 1
 
-// runNetCell executes one distributed scenario. Backends are stamped
-// from st when non-nil (the fleet's warm-template path) and
-// cold-booted otherwise; both produce byte-identical Metrics.
-func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
+// runNetCell executes one distributed scenario. Backends come from
+// tc.Server: stamped from its server templates (the fleet's
+// warm-template path), or cold-booted when tc is nil; both produce
+// byte-identical Metrics.
+func runNetCell(cfg Config, tc *Templates) (*Metrics, error) {
 	cfg = cfg.withDefaults()
 	n := cfg.Nodes
 
@@ -156,9 +157,8 @@ func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
 	bcfg := cfg
 	bcfg.Scenario = Prefork
 	bcfg.Faults = nil
-	bcfg.OnSample = nil
 	for i := 0; i < n; i++ {
-		s, err := st.Server(bcfg)
+		s, err := tc.Server(bcfg)
 		if err != nil {
 			return nil, fmt.Errorf("load: %s backend %d: %w", cfg.Scenario, i, err)
 		}
@@ -216,23 +216,27 @@ func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
 		return nil, fmt.Errorf("load: %s via %v: %w", cfg.Scenario, cfg.Via, c.err)
 	}
 
-	elapsed := uint64(c.lastDone)
-	m := &Metrics{
-		Scenario:  string(cfg.Scenario),
-		Strategy:  cfg.Via.String(),
-		HeapBytes: c.servers[0].cfg.HeapBytes,
-		RAMBytes:  cfg.RAMBytes,
-		NumCPUs:   cfg.CPUs,
-
-		Requests:       c.served,
-		Creations:      c.creations,
-		FailedRequests: c.failedReqs,
-
-		VirtualNanos: elapsed,
-
-		NetTimeouts: c.timeouts,
-		NetRetries:  c.retries,
+	meters := make([]*cost.Meter, n)
+	for i, s := range c.servers {
+		meters[i] = s.k.Meter()
 	}
+	m := loopMetrics(cfg, c.servers[0].cfg.HeapBytes, c.served, c.creations, uint64(c.lastDone), meters...)
+	m.FailedRequests = c.failedReqs
+	m.NetTimeouts = c.timeouts
+	m.NetRetries = c.retries
+	m.addFabric(fab)
+	for i, s := range c.servers {
+		m.ContextSwitches += s.k.ContextSwitches() - cswBase[i]
+		if rss := s.PeakRSSBytes(); rss > m.PeakRSSBytes {
+			m.PeakRSSBytes = rss
+		}
+	}
+	return m, nil
+}
+
+// addFabric records a network cell's wire counters: the fabric's
+// totals across every node and its per-flow log.
+func (m *Metrics) addFabric(fab *simnet.Fabric) {
 	tot := fab.Totals()
 	m.NetPacketsSent = tot.PacketsSent
 	m.NetPacketsRecv = tot.PacketsRecv
@@ -245,25 +249,6 @@ func runNetCell(cfg Config, st *ServerTemplates) (*Metrics, error) {
 			Packets: fl.Packets, Bytes: fl.Bytes, Drops: fl.Drops,
 		})
 	}
-	for i, s := range c.servers {
-		meter := s.k.Meter()
-		m.PageFaults += meter.PageFaults
-		m.PageCopies += meter.PageCopies
-		m.PageZeroes += meter.PageZeroes
-		m.PTECopies += meter.PTECopies
-		m.TLBShootdowns += meter.TLBShootdowns
-		m.Syscalls += meter.Syscalls
-		m.Instructions += meter.Instructions
-		m.ContextSwitches += s.k.ContextSwitches() - cswBase[i]
-		if rss := s.PeakRSSBytes(); rss > m.PeakRSSBytes {
-			m.PeakRSSBytes = rss
-		}
-	}
-	if elapsed > 0 {
-		m.RequestsPerVSec = float64(m.Requests) * 1e9 / float64(elapsed)
-		m.CreationsPerVSec = float64(m.Creations) * 1e9 / float64(elapsed)
-	}
-	return m, nil
 }
 
 // launch tops the client's in-flight window up at time now.

@@ -10,23 +10,29 @@ import (
 )
 
 // Server is a persistent prefork-style request server on its own
-// machine: boot it once, then serve traffic in batches interleaved
-// with an external control loop. sim/cluster runs one Server per
-// cluster machine — NewServer is the machine's warm-up (boot, dirty
-// heap, pre-created worker pool, all on the machine's virtual clock,
-// so fork's Θ(heap) pool tax is in the measured scale-out latency),
-// ServeBatch is one reconcile step's worth of traffic, and Drain is
-// scale-down (the leak invariant checks its books).
+// machine — the one way a warmed, pooled machine comes to exist.
+// NewServer (or a stamp from Templates.Server) is the machine's
+// warm-up: boot, dirty heap, pre-created worker pool, all on the
+// machine's virtual clock, so fork's Θ(heap) pool tax is in the
+// measured warm-up. Then it serves: in batches interleaved with an
+// external control loop (ServeBatch — sim/cluster's reconcile step,
+// the net cells' per-request service) or as one measured prefork
+// phase (Run — sim/fleet's rolling-restart replacement instance).
+// Drain tears the pool down and closes the leak books.
 //
 // A Server is single-goroutine: the caller serializes ServeBatch /
-// Sample / Drain. Distinct Servers are independent machines and may
-// run host-parallel.
+// Run / Drain. Distinct Servers are independent machines and may run
+// host-parallel.
 type Server struct {
 	cfg     Config
 	workers int
 	sys     *sim.System
 	k       *kernel.Kernel
 	pool    []*sim.Process
+
+	// heapStart/heapBytes locate the dirty server heap Prepare
+	// mapped, which Run's measured phase needs.
+	heapStart, heapBytes uint64
 
 	// tpl is the template this server was stamped from (nil when
 	// cold-booted); Drain recycles the machine's allocations back
@@ -40,9 +46,8 @@ type Server struct {
 	baseProcs          int
 	basePages, baseCmt uint64
 
-	requests, failed, creations uint64
-	peakPages                   uint64
-	drained                     bool
+	peakPages uint64
+	drained   bool
 }
 
 // Batch is one ServeBatch's outcome.
@@ -95,11 +100,13 @@ func NewServer(cfg Config) (*Server, error) {
 
 	t0 := k.Elapsed()
 	pteBase := k.Meter().PTECopies
-	if _, err := Prepare(sys, cfg); err != nil {
+	prep, err := Prepare(sys, cfg)
+	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg: cfg, workers: workers, sys: sys, k: k,
+		heapStart: prep.heapStart, heapBytes: prep.heapBytes,
 		baseProcs: k.ProcessCount(),
 		basePages: k.Phys().AllocatedPages(),
 		baseCmt:   k.Phys().Committed(),
@@ -114,7 +121,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.warmNanos = uint64(k.Elapsed() - t0)
 	s.warmPTEs = k.Meter().PTECopies - pteBase
-	s.observe(0)
+	s.observe()
 	return s, nil
 }
 
@@ -167,7 +174,7 @@ func (s *Server) ServeBatch(n int, budgetNanos uint64) (Batch, error) {
 			}
 			continue // every launch in this window failed
 		}
-		s.observe(len(inflight))
+		s.observe()
 		cmd := inflight[0]
 		inflight = inflight[1:]
 		if err := cmd.Wait(); err != nil {
@@ -176,48 +183,34 @@ func (s *Server) ServeBatch(n int, budgetNanos uint64) (Batch, error) {
 			b.Served++
 		}
 	}
-	s.requests += uint64(b.Served)
-	s.failed += uint64(b.Failed)
-	s.creations += b.Creations
 	b.Nanos = uint64(s.k.Elapsed() - t0)
-	s.observe(0)
+	s.observe()
 	return b, nil
 }
 
-// observe updates the RSS high-water mark and fires the mid-run
-// sampling hook with the server's running totals.
-func (s *Server) observe(inflight int) {
-	a := s.k.Phys().AllocatedPages()
-	if a > s.peakPages {
+// observe updates the RSS high-water mark.
+func (s *Server) observe() {
+	if a := s.k.Phys().AllocatedPages(); a > s.peakPages {
 		s.peakPages = a
-	}
-	if s.cfg.OnSample != nil {
-		s.cfg.OnSample(Snapshot{
-			VirtualNanos:   uint64(s.k.Elapsed()),
-			Requests:       s.requests,
-			FailedRequests: s.failed,
-			Creations:      s.creations,
-			InFlight:       inflight,
-			RSSBytes:       a * uint64(mem.PageSize),
-		})
 	}
 }
 
-// Sample reports the machine's live state: cumulative request totals
-// and current resident memory, on its own virtual clock.
-func (s *Server) Sample() Snapshot {
-	return Snapshot{
-		VirtualNanos:   uint64(s.k.Elapsed()),
-		Requests:       s.requests,
-		FailedRequests: s.failed,
-		Creations:      s.creations,
-		RSSBytes:       s.k.Phys().AllocatedPages() * uint64(mem.PageSize),
+// Run serves one measured prefork phase of cfg.Requests requests on
+// the ready machine (Prepared.Run: counters zeroed first, so the
+// pool's creation bill stays in WarmupPTECopies). The pool stays
+// resident throughout, so its footprint is in the measured peak RSS.
+func (s *Server) Run() (*Metrics, error) {
+	if s.drained {
+		return nil, fmt.Errorf("load: Run on a drained server")
 	}
+	p := &Prepared{cfg: s.cfg, sys: s.sys, heapStart: s.heapStart, heapBytes: s.heapBytes}
+	return p.Run()
 }
 
 // WarmupNanos is the virtual time from boot to ready-to-serve: heap
 // dirtying plus pool creation — the scale-out latency sim/cluster
-// charges a new machine.
+// charges a new machine and the restart tax of sim/fleet's rolling
+// wave.
 func (s *Server) WarmupNanos() uint64 { return s.warmNanos }
 
 // WarmupPTECopies is the warm-up's page-table bill: under fork each
@@ -247,7 +240,7 @@ func (s *Server) Drain() (DrainStats, error) {
 	if s.tpl != nil {
 		// Books are closed; recycle the machine's allocations into
 		// the template's next stamp. Nil the handles so a late
-		// Sample/ServeBatch fails loudly instead of reading whatever
+		// accessor fails loudly instead of reading whatever
 		// machine is stamped into the recycled shell next.
 		s.tpl.Release(s.sys)
 		s.sys, s.k = nil, nil

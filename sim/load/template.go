@@ -122,8 +122,9 @@ type Templates struct {
 	mu sync.Mutex
 	m  map[Shape]*Template
 
-	// servers backs the distributed scenarios: their cells stamp
-	// backend Servers from here instead of cold-booting each one.
+	// servers backs Server: the distributed cells' backends and
+	// sim/fleet's rolling replacement instances are stamped from
+	// here instead of cold-booting each one.
 	servers *ServerTemplates
 }
 
@@ -151,7 +152,7 @@ func (tc *Templates) Get(cfg Config) (*Template, error) {
 
 // Run executes cfg on a machine stamped from the cached template for
 // its Shape (warming it on first use). A nil cache falls back to the
-// cold Run path.
+// cold Run path (sim/fleet's ColdBoot).
 func (tc *Templates) Run(cfg Config) (*Metrics, error) {
 	if tc == nil {
 		return Run(cfg)
@@ -160,7 +161,7 @@ func (tc *Templates) Run(cfg Config) (*Metrics, error) {
 		// A distributed cell is its own topology of Server machines;
 		// it stamps them from the server cache (byte-identical to the
 		// cold path) rather than from a scenario template.
-		return runNetCell(cfg, tc.servers)
+		return runNetCell(cfg, tc)
 	}
 	if cfg.Scenario == Migrate {
 		// A migration cell boots its own source/destination pair; no
@@ -172,6 +173,17 @@ func (tc *Templates) Run(cfg Config) (*Metrics, error) {
 		return nil, err
 	}
 	return t.Run(cfg)
+}
+
+// Server stamps a ready-to-serve Server for cfg from the cache's
+// server templates (see ServerTemplates.Server). A nil cache
+// cold-boots through NewServer; the Server's virtual-time behaviour,
+// warm-up included, is identical either way.
+func (tc *Templates) Server(cfg Config) (*Server, error) {
+	if tc == nil {
+		return NewServer(cfg)
+	}
+	return tc.servers.Server(cfg)
 }
 
 // ServerShape is the warm shape of a prefork Server: everything
@@ -216,6 +228,8 @@ type ServerTemplate struct {
 	workers  int
 	poolPids []int
 
+	heapStart, heapBytes uint64
+
 	warmNanos uint64
 	warmPTEs  uint64
 
@@ -226,7 +240,6 @@ type ServerTemplate struct {
 // NewServerTemplate warms one server for cfg's ServerShape and
 // freezes it.
 func NewServerTemplate(cfg Config) (*ServerTemplate, error) {
-	cfg.OnSample = nil // per-machine hooks attach at Stamp time
 	s, err := NewServer(cfg)
 	if err != nil {
 		return nil, err
@@ -239,6 +252,8 @@ func NewServerTemplate(cfg Config) (*ServerTemplate, error) {
 		shape:     cfg.ServerShape(),
 		tpl:       tpl,
 		workers:   s.workers,
+		heapStart: s.heapStart,
+		heapBytes: s.heapBytes,
 		warmNanos: s.warmNanos,
 		warmPTEs:  s.warmPTEs,
 		baseProcs: s.baseProcs,
@@ -253,8 +268,8 @@ func NewServerTemplate(cfg Config) (*ServerTemplate, error) {
 
 // Stamp clones a fresh, independent Server from the template,
 // re-adopting the parked worker pool by pid and attaching cfg's
-// per-machine hooks (OnSample) and serve-phase knobs (Window,
-// RequestWorkMiB). cfg must resolve to the template's ServerShape.
+// serve-phase knobs (Requests, Window, RequestWorkMiB). cfg must
+// resolve to the template's ServerShape.
 func (t *ServerTemplate) Stamp(cfg Config) (*Server, error) {
 	if s := cfg.ServerShape(); s != t.shape {
 		return nil, fmt.Errorf("load: stamp server shape %+v from template shape %+v", s, t.shape)
@@ -267,6 +282,7 @@ func (t *ServerTemplate) Stamp(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg: cfg, workers: t.workers, sys: sys, k: sys.Kernel(), tpl: t.tpl,
+		heapStart: t.heapStart, heapBytes: t.heapBytes,
 		warmNanos: t.warmNanos, warmPTEs: t.warmPTEs,
 		baseProcs: t.baseProcs, basePages: t.basePages, baseCmt: t.baseCmt,
 	}
@@ -277,7 +293,7 @@ func (t *ServerTemplate) Stamp(cfg Config) (*Server, error) {
 		}
 		s.pool = append(s.pool, p)
 	}
-	s.observe(0)
+	s.observe()
 	return s, nil
 }
 
@@ -307,9 +323,7 @@ func (tc *ServerTemplates) Server(cfg Config) (*Server, error) {
 	t, ok := tc.m[shape]
 	if !ok {
 		var err error
-		warmCfg := cfg
-		warmCfg.OnSample = nil
-		t, err = NewServerTemplate(warmCfg)
+		t, err = NewServerTemplate(cfg)
 		if err != nil {
 			tc.mu.Unlock()
 			return nil, err
