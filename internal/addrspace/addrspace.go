@@ -516,6 +516,10 @@ func (s *Space) cowBreak(v *VMA, base uint64, pte pagetable.PTE) error {
 	if e := s.phys.Injector().Fail(fault.PointCOWBreak, pte.Frame().Pages()); e != errno.OK {
 		return e
 	}
+	// A fork-shared page-table leaf holds one frame reference for all
+	// the spaces linking it: take this space's own before asking
+	// whether anyone else maps the frame.
+	s.pt.Own(base)
 	if !pte.COW() {
 		if s.phys.Refs(pte.Frame()) == 1 {
 			// Permission widening, same frame: no remote
@@ -642,7 +646,9 @@ func (s *Space) Touch(va, length uint64, access Access) error {
 // commit is reserved for every private writable page (this is the
 // up-front ENOMEM under strict accounting), and the page table is
 // COW-cloned. The child's RSS equals the parent's: all resident pages
-// are shared until written.
+// are shared until written. The virtual cost is Θ(mapped pages); the
+// host work is O(page-table nodes), as the child links the parent's
+// page-table leaves (see pagetable.Table.CloneCOW).
 func (s *Space) CloneCOW() (*Space, error) {
 	// Injection point: the entry into fork's Θ(mapped pages) walk,
 	// before the commit reservation — a scheduled failure here is
@@ -666,8 +672,9 @@ func (s *Space) CloneCOW() (*Space, error) {
 		s.meter.Charge(s.meter.Model.VMAClone)
 	}
 	c.pt = s.pt.CloneCOW()
-	// Every shared frame now has an extra reference; the page-table
-	// clone bumped them. RSS for the child counts them resident.
+	// Every shared frame now has an extra (effective) reference, held
+	// by the page-table leaf both spaces link. RSS for the child counts
+	// them resident.
 	//
 	// The clone downgraded every private writable mapping in the
 	// *parent* to read-only: every other CPU running the parent must
@@ -722,9 +729,11 @@ func (s *Space) CloneEager() (*Space, error) {
 }
 
 // Destroy releases every resident page, page-table page, and commit
-// reservation. The space must not be used afterwards.
+// reservation. The space must not be used afterwards. Pages in
+// page-table leaves still shared with a fork relative stay resident
+// there: they leave this space's RSS without a frame reference moving.
 func (s *Space) Destroy() {
-	s.pt.Destroy(func(_ uint64, e pagetable.PTE) {
+	s.rssPages -= s.pt.Destroy(func(_ uint64, e pagetable.PTE) {
 		s.releaseEntry(e)
 	})
 	if s.commitPages > 0 {

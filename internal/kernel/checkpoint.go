@@ -246,6 +246,33 @@ func (k *Kernel) CheckpointProcess(p *Process, opts CheckpointOpts) (*ProcImage,
 	return img, nil
 }
 
+// latestPages returns the index of the last record for each address in
+// pages, in ascending va order. A checkpoint's pages come from one
+// CapturePages walk, strictly ascending, and are installed as they are;
+// records in any other order take a stable sort that keeps each
+// address's last record.
+func latestPages(pages []addrspace.PageRecord) []int {
+	idxs := make([]int, len(pages))
+	ascending := true
+	for i := range pages {
+		idxs[i] = i
+		if i > 0 && pages[i].VA <= pages[i-1].VA {
+			ascending = false
+		}
+	}
+	if ascending {
+		return idxs
+	}
+	sort.SliceStable(idxs, func(a, b int) bool { return pages[idxs[a]].VA < pages[idxs[b]].VA })
+	out := idxs[:0]
+	for j, i := range idxs {
+		if j+1 == len(idxs) || pages[idxs[j+1]].VA != pages[i].VA {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // RestoreProcess rebuilds img as a new process on k — the receiving
 // half of a migration. Name-references resolve against k's own
 // filesystem (executable images and open files must exist there);
@@ -314,16 +341,7 @@ func (k *Kernel) RestoreProcess(img *ProcImage) (*Process, error) {
 	p.space.RestoreBrk(img.BrkBase, img.Brk)
 
 	// Last record per address wins, installed in ascending va order.
-	last := map[uint64]int{}
-	for i := range img.Pages {
-		last[img.Pages[i].VA] = i
-	}
-	idxs := make([]int, 0, len(last))
-	for _, i := range last {
-		idxs = append(idxs, i)
-	}
-	sort.Slice(idxs, func(a, b int) bool { return img.Pages[idxs[a]].VA < img.Pages[idxs[b]].VA })
-	for _, i := range idxs {
+	for _, i := range latestPages(img.Pages) {
 		if err := p.space.InstallPage(img.Pages[i]); err != nil {
 			return fail(fmt.Errorf("restore %q: page %#x: %w", img.Name, img.Pages[i].VA, err))
 		}

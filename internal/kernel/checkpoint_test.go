@@ -2,6 +2,9 @@ package kernel
 
 import (
 	"errors"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -163,5 +166,48 @@ func TestRestoreMissingFile(t *testing.T) {
 	}
 	if got := dst.Phys().AllocatedPages(); got != pages {
 		t.Errorf("allocated pages %d -> %d: restore leaked frames", pages, got)
+	}
+}
+
+// TestLatestPages: restore installs exactly the last record per address
+// in ascending va order, whether the records are one ascending capture,
+// several appended capture rounds or in arbitrary order.
+func TestLatestPages(t *testing.T) {
+	reference := func(pages []addrspace.PageRecord) []int {
+		last := map[uint64]int{}
+		for i := range pages {
+			last[pages[i].VA] = i
+		}
+		idxs := make([]int, 0, len(last))
+		for _, i := range last {
+			idxs = append(idxs, i)
+		}
+		sort.Slice(idxs, func(a, b int) bool { return pages[idxs[a]].VA < pages[idxs[b]].VA })
+		return idxs
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		var pages []addrspace.PageRecord
+		rounds := 1 + rng.Intn(32)
+		if trial%4 == 0 {
+			rounds = 1 // one capture walk, what restores see
+		}
+		for r := 0; r < rounds; r++ {
+			for va := uint64(0); va < 64; va++ {
+				if r == 0 || rng.Intn(4) == 0 {
+					pages = append(pages, addrspace.PageRecord{VA: va << 12})
+				}
+			}
+		}
+		if trial%4 == 3 {
+			rng.Shuffle(len(pages), func(i, j int) { pages[i], pages[j] = pages[j], pages[i] })
+		}
+		got, want := latestPages(pages), reference(pages)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d (%d rounds): latestPages = %v, want %v", trial, rounds, got, want)
+		}
+	}
+	if got := latestPages(nil); len(got) != 0 {
+		t.Errorf("latestPages(nil) = %v", got)
 	}
 }

@@ -107,10 +107,19 @@ func TestQuickProcessTree(t *testing.T) {
 			if !checkTreeInvariants(t, k) {
 				return false
 			}
+			if err := k.CheckFrameRefs(); err != nil {
+				t.Logf("after op %d: %v", op%8, err)
+				return false
+			}
 		}
-		// Tear everything down: no leaks of frames or commit.
+		// Tear everything down one process at a time, conserving
+		// frame refcounts at every step: no leaks of frames or commit.
 		for _, p := range live {
 			k.DestroyProcess(p)
+			if err := k.CheckFrameRefs(); err != nil {
+				t.Logf("after destroying %d: %v", p.Pid, err)
+				return false
+			}
 		}
 		for _, p := range k.procs {
 			if p.state == ProcZombie {

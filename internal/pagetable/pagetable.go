@@ -3,10 +3,20 @@
 // 2 MiB huge mappings installed one level up.
 //
 // This is the data structure whose duplication dominates the cost of
-// fork() in "A fork() in the road": CloneCOW walks the whole radix
-// tree, allocating mirror nodes and copying one entry per mapped page,
-// so its virtual-time cost is Θ(mapped pages) — exactly the linear
-// growth the paper's Figure 1 shows.
+// fork() in "A fork() in the road": CloneCOW bills a mirror node for
+// every page-table page and one entry write per mapped page, so its
+// virtual-time cost is Θ(mapped pages) — exactly the linear growth the
+// paper's Figure 1 shows.
+//
+// The host does less than it bills. CloneCOW links the parent's level-0
+// leaf nodes into the child instead of copying them (after the COW
+// downgrade both sides hold byte-identical leaves), so the host work of
+// a fork and of the child's Destroy is O(page-table nodes), not
+// O(mapped pages). A fork-shared leaf holds one frame reference per
+// present entry however many tables link it; a table takes a private
+// copy (and its own frame references) before it writes through one.
+// This is the host-side form of On-demand-fork (Zhao, Gong, Fonseca,
+// EuroSys'21), which shares last-level page tables at fork.
 package pagetable
 
 import (
@@ -119,22 +129,105 @@ type node struct {
 	kids [entriesPerNode]*node
 	ptes [entriesPerNode]PTE
 
-	// shared marks a node host-COW-aliased by a frozen template and
-	// its clones (see CloneHost): it is immutable, referenced by any
-	// number of tables, and never returned to the pool. Writers copy
-	// a shared node out of the way first (ownedCopy) — a host-only
-	// operation that charges nothing, because logically the clone
-	// already owned the node.
-	shared bool
+	// links counts the tables that own this node: 1 for a private
+	// node, which its table writes in place. A level-0 leaf goes above
+	// 1 when CloneCOW links it into a child (a fork-shared leaf, whose
+	// tables are all on one machine); it holds one frame reference per
+	// present entry whatever its links. 0 marks a shared node:
+	// host-COW-aliased by a frozen template and its clones (see
+	// CloneHost), immutable, linked by any number of tables on any
+	// number of machines but owned by none, and never returned to the
+	// pool. A table copies a node it does not own alone out of the way
+	// before writing it (own).
+	links int32
+
+	// present counts the present entries; writable counts those a COW
+	// downgrade rewrites (present, private and writable). CloneCOW
+	// bills a leaf from these without reading its entries. Every entry
+	// write goes through set to keep them exact.
+	present, writable int32
 }
 
-// ownedCopy returns a private, writable copy of a template-shared
-// node. The copy's kids still point at shared children; they get their
-// own copies if and when they are written.
+// set writes slot i, keeping the node's entry counts exact.
+func (n *node) set(i int, e PTE) {
+	old := n.ptes[i]
+	n.ptes[i] = e
+	n.present += int32(e&FlagPresent) - int32(old&FlagPresent)
+	n.writable += cowable(e) - cowable(old)
+}
+
+// cowable is 1 if a COW downgrade rewrites e (present, private and
+// writable), else 0.
+func cowable(e PTE) int32 {
+	if e&(FlagPresent|FlagWritable|FlagShared) == FlagPresent|FlagWritable {
+		return 1
+	}
+	return 0
+}
+
+// cowShare is the entry both parent and child hold after a fork: a
+// private mapping drops write permission and is tagged COW (even an
+// already read-only page is shared; keeping COW only on pages that were
+// writable preserves their eventual write-back permission). A
+// MAP_SHARED mapping is unchanged: same frame, full permissions.
+func cowShare(e PTE) PTE {
+	if e.Shared() {
+		return e
+	}
+	s := e.Without(FlagWritable)
+	if e.Writable() || e.COW() {
+		s = s.With(FlagCOW)
+	}
+	return s
+}
+
+// shared reports whether n is frozen into a template (see links).
+func (n *node) shared() bool { return n.links == 0 }
+
+// ownedCopy returns a private, writable copy of n. The copy's kids
+// still point at n's children; they get their own copies if and when
+// they are written.
 func ownedCopy(n *node) *node {
 	c := newNode()
 	c.ptes = n.ptes
 	c.kids = n.kids
+	c.present, c.writable = n.present, n.writable
+	return c
+}
+
+// own returns n if this table may write it in place, else the private
+// copy to relink in its place. A template-shared node is copied
+// host-only: its frame references already count this table's. A
+// fork-shared leaf is copied and the copy takes its own reference on
+// every present frame, so mem.Physical.Refs again tells whether any
+// other table maps a frame; the leaf stays with the tables still
+// linking it. Neither copy charges anything — logically the table
+// owned the node all along.
+//
+// own and ownKid are split into a check the compiler inlines into every
+// writer's walk and a slow path (unshare, relinkKid) that it calls. A
+// demand fault walks four levels: with the copy folded into the check,
+// perfbench's fork64 setup_s, which faults in a 64 MiB heap page by
+// page, had a median of 2.74 ms against 2.35 ms split (five alternating
+// pairs, 2-vCPU host).
+func (t *Table) own(n *node) *node {
+	if n.links == 1 {
+		return n
+	}
+	return t.unshare(n)
+}
+
+// unshare is own's copying half.
+func (t *Table) unshare(n *node) *node {
+	c := ownedCopy(n)
+	if !n.shared() {
+		for i := range c.ptes {
+			if c.ptes[i].Present() {
+				t.phys.IncRef(c.ptes[i].Frame())
+			}
+		}
+		n.links--
+	}
 	return c
 }
 
@@ -143,11 +236,16 @@ func ownedCopy(n *node) *node {
 // without pooling that is an 8 KiB host allocation each, and at tens of
 // thousands of creations the garbage collector dominates the
 // simulator's own run time. Nodes are returned zeroed (destroyNode
-// clears every slot as it walks), so Get needs no re-initialisation.
+// clears every slot and count as it walks), so Get only sets links.
 // sync.Pool keeps this safe under `go test -race` with parallel tests.
 var nodePool = sync.Pool{New: func() any { return new(node) }}
 
-func newNode() *node  { return nodePool.Get().(*node) }
+func newNode() *node {
+	n := nodePool.Get().(*node)
+	n.links = 1
+	return n
+}
+
 func putNode(n *node) { nodePool.Put(n) }
 
 type tlbEntry struct {
@@ -220,34 +318,20 @@ func (t *Table) Map(va uint64, e PTE) {
 	if va&(mem.PageSize-1) != 0 {
 		panic(fmt.Sprintf("pagetable: unaligned map %#x", va))
 	}
-	if t.root.shared {
-		t.root = ownedCopy(t.root)
-	}
+	t.root = t.own(t.root)
 	n := t.root
 	for level := Levels - 1; level > 0; level-- {
 		i := index(va, level)
 		if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
 			panic(fmt.Sprintf("pagetable: 4K map %#x overlaps huge mapping", va))
 		}
-		kid := n.kids[i]
-		switch {
-		case kid == nil:
-			kid = newNode()
-			n.kids[i] = kid
-			t.nodes++
-			t.meter.Charge(t.meter.Model.PTNodeAlloc)
-			t.meter.PTNodes++
-		case kid.shared:
-			kid = ownedCopy(kid)
-			n.kids[i] = kid
-		}
-		n = kid
+		n = t.ownKid(&n.kids[i])
 	}
 	i := index(va, 0)
 	if !n.ptes[i].Present() {
 		t.entries++
 	}
-	n.ptes[i] = e | FlagPresent
+	n.set(i, e|FlagPresent)
 	t.meter.Charge(t.meter.Model.PTEWrite)
 	t.InvalidateTLB(va)
 }
@@ -258,25 +342,10 @@ func (t *Table) MapHuge(va uint64, e PTE) {
 	if va&(mem.HugeSize-1) != 0 {
 		panic(fmt.Sprintf("pagetable: unaligned huge map %#x", va))
 	}
-	if t.root.shared {
-		t.root = ownedCopy(t.root)
-	}
+	t.root = t.own(t.root)
 	n := t.root
 	for level := Levels - 1; level > 1; level-- {
-		i := index(va, level)
-		kid := n.kids[i]
-		switch {
-		case kid == nil:
-			kid = newNode()
-			n.kids[i] = kid
-			t.nodes++
-			t.meter.Charge(t.meter.Model.PTNodeAlloc)
-			t.meter.PTNodes++
-		case kid.shared:
-			kid = ownedCopy(kid)
-			n.kids[i] = kid
-		}
-		n = kid
+		n = t.ownKid(&n.kids[index(va, level)])
 	}
 	i := index(va, 1)
 	if n.kids[i] != nil {
@@ -286,14 +355,39 @@ func (t *Table) MapHuge(va uint64, e PTE) {
 		t.entries++
 		t.hugeEntries++
 	}
-	n.ptes[i] = e | FlagPresent | FlagHuge
+	n.set(i, e|FlagPresent|FlagHuge)
 	t.meter.Charge(t.meter.Model.PTEWrite)
 	t.FlushTLB()
 }
 
-// lookup returns the leaf slot holding va's translation, or nil.
-// hugeBase receives the huge mapping's base va when the translation is
-// huge.
+// ownKid returns the child in slot, owned by this table (see own) and
+// relinked, allocating and charging a fresh node if there is none. The
+// slot's node must already be owned.
+func (t *Table) ownKid(slot **node) *node {
+	kid := *slot
+	if kid == nil || kid.links != 1 {
+		kid = t.relinkKid(slot)
+	}
+	return kid
+}
+
+// relinkKid is ownKid's slow path.
+func (t *Table) relinkKid(slot **node) *node {
+	kid := *slot
+	if kid == nil {
+		kid = newNode()
+		t.nodes++
+		t.meter.Charge(t.meter.Model.PTNodeAlloc)
+		t.meter.PTNodes++
+	} else {
+		kid = t.unshare(kid)
+	}
+	*slot = kid
+	return kid
+}
+
+// lookupSlot returns the leaf slot holding va's translation, or nil;
+// huge reports a 2 MiB mapping.
 func (t *Table) lookupSlot(va uint64) (slot *PTE, huge bool) {
 	n := t.root
 	for level := Levels - 1; level > 0; level-- {
@@ -315,35 +409,37 @@ func (t *Table) lookupSlot(va uint64) (slot *PTE, huge bool) {
 	return &n.ptes[i], false
 }
 
-// lookupSlotOwn is lookupSlot for writers: every node on the returned
-// slot's path is owned by this table, with template-shared nodes
-// copied out of the way (host-only; charges nothing — logically the
-// clone owned them all along).
-func (t *Table) lookupSlotOwn(va uint64) (slot *PTE, huge bool) {
-	if t.root.shared {
-		t.root = ownedCopy(t.root)
-	}
-	n := t.root
+// ownSlot is lookupSlot for writers: it returns the node and index of
+// va's present translation (n is nil if there is none), with every
+// node on the path owned by this table (see own).
+func (t *Table) ownSlot(va uint64) (n *node, i int, huge bool) {
+	t.root = t.own(t.root)
+	n = t.root
 	for level := Levels - 1; level > 0; level-- {
-		i := index(va, level)
+		i = index(va, level)
 		if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
-			return &n.ptes[i], true
+			return n, i, true
 		}
-		kid := n.kids[i]
-		if kid == nil {
-			return nil, false
+		if n.kids[i] == nil {
+			return nil, 0, false
 		}
-		if kid.shared {
-			kid = ownedCopy(kid)
-			n.kids[i] = kid
-		}
-		n = kid
+		n = t.ownKid(&n.kids[i])
 	}
-	i := index(va, 0)
+	i = index(va, 0)
 	if !n.ptes[i].Present() {
-		return nil, false
+		return nil, 0, false
 	}
-	return &n.ptes[i], false
+	return n, i, false
+}
+
+// Own makes the nodes on va's translation path private to this table
+// (see own). It changes no entry and charges nothing. A caller that
+// decides from mem.Physical.Refs whether another table maps va's frame
+// — the COW-break fault — calls Own first: a fork-shared leaf holds a
+// single reference for all the tables linking it.
+func (t *Table) Own(va uint64) {
+	checkVA(va)
+	t.ownSlot(va)
 }
 
 // Lookup translates va. The TLB is consulted first; a miss charges the
@@ -367,14 +463,14 @@ func (t *Table) Lookup(va uint64) (PTE, bool) {
 // accessed bits). It panics if va is unmapped.
 func (t *Table) Update(va uint64, e PTE) {
 	checkVA(va)
-	slot, huge := t.lookupSlotOwn(va)
-	if slot == nil {
+	n, i, huge := t.ownSlot(va)
+	if n == nil {
 		panic(fmt.Sprintf("pagetable: update of unmapped va %#x", va))
 	}
 	if huge {
 		e |= FlagHuge
 	}
-	*slot = e | FlagPresent
+	n.set(i, e|FlagPresent)
 	t.meter.Charge(t.meter.Model.PTEWrite)
 	if huge {
 		t.FlushTLB()
@@ -388,15 +484,15 @@ func (t *Table) Update(va uint64, e PTE) {
 // the frame reference.
 func (t *Table) Unmap(va uint64) (PTE, bool) {
 	checkVA(va)
-	slot, huge := t.lookupSlotOwn(va)
-	if slot == nil {
+	n, i, huge := t.ownSlot(va)
+	if n == nil {
 		return 0, false
 	}
-	old := *slot
+	old := n.ptes[i]
 	if huge && va&(mem.HugeSize-1) != 0 {
 		panic(fmt.Sprintf("pagetable: unmap %#x inside huge mapping", va))
 	}
-	*slot = 0
+	n.set(i, 0)
 	t.entries--
 	if huge {
 		t.hugeEntries--
@@ -424,8 +520,8 @@ func (t *Table) Visit(fn func(va uint64, e PTE) PTE) {
 }
 
 // visit returns the node it ended up writing through — n itself, or an
-// owned copy when n was template-shared and a rewrite was needed — so
-// the caller can relink it.
+// owned copy (see own) when a rewrite was needed — so the caller can
+// relink it.
 func (t *Table) visit(n *node, base uint64, level int, fn func(uint64, PTE) PTE) (*node, bool) {
 	changed := false
 	span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
@@ -438,10 +534,8 @@ func (t *Table) visit(n *node, base uint64, level int, fn func(uint64, PTE) PTE)
 			}
 			ne := fn(va, e)
 			if ne != e {
-				if n.shared {
-					n = ownedCopy(n)
-				}
-				n.ptes[i] = ne | FlagPresent
+				n = t.own(n)
+				n.set(i, ne|FlagPresent)
 				t.meter.Charge(t.meter.Model.PTEWrite)
 				changed = true
 			}
@@ -450,9 +544,7 @@ func (t *Table) visit(n *node, base uint64, level int, fn func(uint64, PTE) PTE)
 		if kid := n.kids[i]; kid != nil {
 			nk, ch := t.visit(kid, va, level-1, fn)
 			if nk != kid {
-				if n.shared {
-					n = ownedCopy(n)
-				}
+				n = t.own(n)
 				n.kids[i] = nk
 			}
 			if ch {
@@ -483,11 +575,18 @@ func (cc *cloneCounts) charge(m *cost.Meter) {
 }
 
 // CloneCOW builds a copy of t for a forked child: every private
-// mapping is downgraded to read-only + COW in *both* tables and its
-// frame reference count incremented; shared mappings are copied
-// verbatim with an extra reference. The walk allocates a mirror node
-// for every page-table page and writes one entry per mapping — the
+// mapping is downgraded to read-only + COW in *both* tables; shared
+// mappings pass through verbatim. The virtual-time bill is the full
+// copy — a mirror node for every page-table page and a PTE write for
+// every mapping in the child plus every downgrade in the parent, the
 // Θ(address-space size) loop at the heart of fork's cost.
+//
+// The host work is O(page-table nodes). Interior nodes and 2 MiB
+// entries are mirrored, each huge frame gaining a reference. Level-0
+// leaves are linked, not copied: after the downgrade both sides of a
+// leaf would hold the same entries, so the child links the parent's
+// leaf and its link count goes up, while its frame references stay one
+// per entry. The leaf's cached counts supply the bill.
 //
 // Both local TLBs are flushed (the parent's mappings just lost their
 // write permission). On a multicore machine the downgrade must also
@@ -507,59 +606,73 @@ func (t *Table) CloneCOW() *Table {
 	return child
 }
 
-// cloneNode returns the parent-side node it downgraded through — pn
-// itself, or an owned copy when pn was template-shared — so the caller
-// (and CloneCOW for the root) can relink it into the parent table.
+// cloneNode mirrors interior node pn into cn. It returns the
+// parent-side node it cloned through — pn itself, or an owned copy when
+// pn was template-shared and had to change — so the caller (and
+// CloneCOW for the root) can relink it into the parent table.
 func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 	for i := 0; i < entriesPerNode; i++ {
-		if level == 0 || (level == 1 && pn.ptes[i].Present() && pn.ptes[i].Huge()) {
-			e := pn.ptes[i]
-			if !e.Present() {
-				continue
-			}
-			if e.Shared() {
-				// Shared mapping: same frame, full perms.
-				c.phys.IncRef(e.Frame())
-				cn.ptes[i] = e
-				cc.writes++
-				cc.copies++
-				continue
-			}
-			// Private mapping: drop write permission on both
-			// sides and tag COW (even already-read-only pages
-			// get the frame shared; keeping COW only on pages
-			// that were writable preserves their eventual
-			// write-back permission).
+		if e := pn.ptes[i]; level == 1 && e.Present() && e.Huge() {
 			c.phys.IncRef(e.Frame())
-			shared := e.Without(FlagWritable)
-			if e.Writable() || e.COW() {
-				shared = shared.With(FlagCOW)
-			}
-			if shared != e {
-				if pn.shared {
+			if s := cowShare(e); s != e {
+				if pn.shared() {
 					pn = ownedCopy(pn)
 				}
-				pn.ptes[i] = shared
+				pn.set(i, s)
 				cc.writes++
 			}
-			cn.ptes[i] = shared
+			cn.set(i, pn.ptes[i])
 			cc.writes++
 			cc.copies++
 			continue
 		}
-		if pn.kids[i] == nil {
+		kid := pn.kids[i]
+		if kid == nil {
 			continue
 		}
-		cn.kids[i] = newNode()
 		cc.nodes++
-		if nk := c.cloneNode(pn.kids[i], cn.kids[i], level-1, cc); nk != pn.kids[i] {
-			if pn.shared {
+		var nk *node
+		if level == 1 {
+			nk = shareLeaf(kid, cc)
+			cn.kids[i] = nk
+		} else {
+			cn.kids[i] = newNode()
+			nk = c.cloneNode(kid, cn.kids[i], level-1, cc)
+		}
+		if nk != kid {
+			if pn.shared() {
 				pn = ownedCopy(pn)
 			}
 			pn.kids[i] = nk
 		}
 	}
 	return pn
+}
+
+// shareLeaf downgrades the parent's leaf l in place and links it into
+// the child, billing the same events as copying it entry by entry. A
+// template-shared leaf belongs to no table, so it is first copied
+// host-only, and the copy, returned, is what the parent must relink. A
+// leaf already fork-shared was downgraded when it was first shared and
+// has been written by no table since, so only the child's installs
+// remain to bill.
+func shareLeaf(l *node, cc *cloneCounts) *node {
+	if l.shared() {
+		l = ownedCopy(l)
+	}
+	if l.writable > 0 {
+		for i := range l.ptes {
+			if e := l.ptes[i]; e.Present() {
+				l.ptes[i] = cowShare(e)
+			}
+		}
+		cc.writes += uint64(l.writable)
+		l.writable = 0
+	}
+	l.links++
+	cc.writes += uint64(l.present)
+	cc.copies += uint64(l.present)
+	return l
 }
 
 // CloneEager builds a fully copied table for a child, 1970s-style: a
@@ -587,13 +700,13 @@ func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
 			}
 			if e.Shared() {
 				c.phys.IncRef(e.Frame())
-				cn.ptes[i] = e
+				cn.set(i, e)
 			} else {
 				nf, err := c.phys.CopyFrame(e.Frame())
 				if err != nil {
 					return err
 				}
-				cn.ptes[i] = Make(nf, e.Flags())
+				cn.set(i, Make(nf, e.Flags()))
 			}
 			cc.writes++
 			cc.copies++
@@ -615,31 +728,46 @@ func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
 	return nil
 }
 
-// Destroy tears the tree down, invoking release for every present leaf
-// entry (the caller drops frame references there) and charging the
-// node-free cost for every page-table page including the root.
-func (t *Table) Destroy(release func(va uint64, e PTE)) {
-	freed := uint64(1) // the root
-	t.destroyNode(t.root, 0, Levels-1, release, &freed)
-	if !t.root.shared {
+// Destroy tears the tree down and charges the node-free cost for every
+// page-table page including the root. It invokes release for every
+// frame reference the table drops (the caller drops it there), in
+// ascending va order. A fork-shared leaf's references pass to the
+// tables still linking it: Destroy unlinks the leaf without releasing
+// its entries and returns how many 4 KiB pages those leaves map, so the
+// host work for a fork child that never wrote is O(page-table nodes).
+// The last table holding a leaf releases its entries, at the point in
+// va order where an eager copy would have dropped its final
+// references, so frame frees and their order are unchanged.
+func (t *Table) Destroy(release func(va uint64, e PTE)) (kept uint64) {
+	dc := destroyCounts{freed: 1} // the root
+	t.destroyNode(t.root, 0, Levels-1, release, &dc)
+	if !t.root.shared() {
 		putNode(t.root)
 	}
 	t.root = nil
-	t.meter.Charge(cost.Ticks(freed) * t.meter.Model.PTNodeFree)
+	t.meter.Charge(cost.Ticks(dc.freed) * t.meter.Model.PTNodeFree)
 	t.entries, t.nodes, t.hugeEntries = 0, 0, 0
 	for i := range t.tlb {
 		t.tlb[i].valid = false
 	}
+	return dc.kept
 }
 
-// destroyNode zeroes every slot as it walks, so each node goes back to
-// the pool fully cleared and newNode needs no re-initialisation. The
-// per-node free cost is accumulated into freed and charged in one batch
-// by Destroy. Template-shared nodes are left untouched and unpooled —
-// other tables still alias them — but their frees are still counted:
-// the clone logically owned and freed them, and the cold machine it
-// must stay metric-identical to charges for every one.
-func (t *Table) destroyNode(n *node, base uint64, level int, release func(uint64, PTE), freed *uint64) {
+// destroyCounts accumulates a Destroy walk: page-table pages freed and
+// 4 KiB pages left to the other holders of fork-shared leaves.
+type destroyCounts struct {
+	freed, kept uint64
+}
+
+// destroyNode zeroes every slot and count as it walks, so each node
+// goes back to the pool fully cleared and newNode need only set links.
+// The per-node free cost is accumulated into dc and charged in one
+// batch by Destroy. Template-shared nodes are left untouched and
+// unpooled — other tables still alias them — but their frees are still
+// counted: the clone logically owned and freed them, and the cold
+// machine it must stay metric-identical to charges for every one. So
+// are the frees of fork-shared leaves, which are only unlinked.
+func (t *Table) destroyNode(n *node, base uint64, level int, release func(uint64, PTE), dc *destroyCounts) {
 	span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
 	for i := 0; i < entriesPerNode; i++ {
 		va := base + uint64(i)*span
@@ -647,20 +775,30 @@ func (t *Table) destroyNode(n *node, base uint64, level int, release func(uint64
 			if n.ptes[i].Present() && release != nil {
 				release(va, n.ptes[i])
 			}
-			if !n.shared {
+			if !n.shared() {
 				n.ptes[i] = 0
 			}
 			continue
 		}
-		if kid := n.kids[i]; kid != nil {
-			t.destroyNode(kid, va, level-1, release, freed)
-			if !kid.shared {
+		kid := n.kids[i]
+		if kid == nil {
+			continue
+		}
+		dc.freed++
+		if kid.links > 1 {
+			kid.links--
+			dc.kept += uint64(kid.present)
+		} else {
+			t.destroyNode(kid, va, level-1, release, dc)
+			if !kid.shared() {
 				putNode(kid)
 			}
-			if !n.shared {
-				n.kids[i] = nil
-			}
-			*freed++
 		}
+		if !n.shared() {
+			n.kids[i] = nil
+		}
+	}
+	if !n.shared() {
+		n.present, n.writable = 0, 0
 	}
 }

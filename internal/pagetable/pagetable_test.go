@@ -107,10 +107,11 @@ func TestCloneCOWSemantics(t *testing.T) {
 	if child.Entries() != 3 {
 		t.Fatalf("child entries = %d", child.Entries())
 	}
-	// All frames now have two references.
+	// All frames now have two effective references.
+	refs := EffectiveRefs(phys, tbl, child)
 	for _, f := range []mem.FrameID{fw, fr, fs} {
-		if phys.Refs(f) != 2 {
-			t.Errorf("frame %d refs = %d, want 2", f, phys.Refs(f))
+		if refs[f] != 2 {
+			t.Errorf("frame %d effective refs = %d, want 2", f, refs[f])
 		}
 	}
 	// Writable private page: read-only + COW on both sides.
@@ -281,7 +282,7 @@ func TestQuickShadowModel(t *testing.T) {
 }
 
 // TestQuickCloneRefcounts: after CloneCOW, every mapped frame's
-// reference count equals the number of tables mapping it.
+// effective reference count equals the number of tables mapping it.
 func TestQuickCloneRefcounts(t *testing.T) {
 	f := func(slots []uint16) bool {
 		tbl, phys := newTable()
@@ -300,8 +301,9 @@ func TestQuickCloneRefcounts(t *testing.T) {
 		}
 		child := tbl.CloneCOW()
 		ok := true
+		refs := EffectiveRefs(phys, tbl, child)
 		tbl.Visit(func(_ uint64, e PTE) PTE {
-			if phys.Refs(e.Frame()) != 2 {
+			if refs[e.Frame()] != 2 {
 				ok = false
 			}
 			return e

@@ -9,12 +9,15 @@ import (
 	"repro/internal/pagetable"
 )
 
-// The property test drives a Table through random
-// map/update/clone/unmap/destroy sequences — including huge-page and
-// COW-flag interactions — and checks every observation against a flat
-// map model of what the radix tree should contain. The same
-// interpreter backs the fuzz target below, so a crashing byte string
-// found by `go test -fuzz=FuzzTableOps` replays here verbatim.
+// The property test drives a family of up to maxTables live Tables
+// through random map/update/rewrite/clone/unmap/destroy sequences —
+// including huge-page and COW-flag interactions, and writes through
+// page-table leaves that CloneCOW left shared between a parent and its
+// live children — and checks every table against its own flat map model
+// of what the radix tree should contain, together with frame refcount
+// conservation across the family, every few steps and at the end. The
+// same interpreter backs the fuzz target below, so a crashing byte
+// string found by `go test -fuzz=FuzzTableOps` replays here verbatim.
 //
 // Virtual-address discipline: 4 KiB mappings live under PML4 slots
 // 0–3 and huge mappings under slots 8–11, so randomly generated
@@ -24,15 +27,22 @@ import (
 
 const (
 	maxLiveEntries = 1500
+	maxTables      = 4
 	propRAM        = uint64(2) << 30
 )
 
-type propHarness struct {
-	t     testing.TB
-	phys  *mem.Physical
+// propTable is one live table of the family and its model.
+type propTable struct {
 	tab   *pagetable.Table
 	model map[uint64]pagetable.PTE
 	vas   []uint64 // live virtual addresses, insertion-ordered
+}
+
+type propHarness struct {
+	t     testing.TB
+	meter *cost.Meter
+	phys  *mem.Physical
+	tabs  []*propTable
 }
 
 func newPropHarness(t testing.TB) *propHarness {
@@ -40,16 +50,22 @@ func newPropHarness(t testing.TB) *propHarness {
 	phys := mem.NewPhysical(meter, propRAM, 0, mem.CommitAlways)
 	return &propHarness{
 		t:     t,
+		meter: meter,
 		phys:  phys,
-		tab:   pagetable.New(phys, meter),
-		model: map[uint64]pagetable.PTE{},
+		tabs:  []*propTable{{tab: pagetable.New(phys, meter), model: map[uint64]pagetable.PTE{}}},
 	}
 }
 
-// va4k builds a base-page address under PML4 slots 0–3 spread across
-// many page-table nodes; vaHuge builds a 2 MiB-aligned address under
-// slots 8–11.
+// va4k builds a base-page address under PML4 slot sel%4. Bit 2 of sel
+// picks the spread: sparse addresses range over 128 leaves, exercising
+// interior-node allocation, clone and free across many nodes; dense
+// ones fall in the slot's first 8 leaves, which fill up enough for
+// writes through fork-shared leaves to matter. vaHuge builds a 2
+// MiB-aligned address under slots 8–11.
 func va4k(sel byte, idx uint16) uint64 {
+	if sel&4 != 0 {
+		idx %= 4096
+	}
 	return uint64(sel%4)<<39 + uint64(idx)*uint64(mem.PageSize)
 }
 
@@ -81,76 +97,112 @@ func randFlags(b byte) pagetable.PTE {
 	return f
 }
 
-func (h *propHarness) track(va uint64, e pagetable.PTE) {
-	if _, ok := h.model[va]; !ok {
-		h.vas = append(h.vas, va)
+func (pt *propTable) track(va uint64, e pagetable.PTE) {
+	if _, ok := pt.model[va]; !ok {
+		pt.vas = append(pt.vas, va)
 	}
-	h.model[va] = e
+	pt.model[va] = e
 }
 
-func (h *propHarness) untrack(va uint64) {
-	delete(h.model, va)
-	for i, v := range h.vas {
+func (pt *propTable) untrack(va uint64) {
+	delete(pt.model, va)
+	for i, v := range pt.vas {
 		if v == va {
-			h.vas[i] = h.vas[len(h.vas)-1]
-			h.vas = h.vas[:len(h.vas)-1]
+			pt.vas[i] = pt.vas[len(pt.vas)-1]
+			pt.vas = pt.vas[:len(pt.vas)-1]
 			return
 		}
 	}
 }
 
 // pick returns a live va, deterministically from r.
-func (h *propHarness) pick(r uint16) (uint64, bool) {
-	if len(h.vas) == 0 {
+func (pt *propTable) pick(r uint16) (uint64, bool) {
+	if len(pt.vas) == 0 {
 		return 0, false
 	}
-	return h.vas[int(r)%len(h.vas)], true
+	return pt.vas[int(r)%len(pt.vas)], true
 }
 
-// unmapAt removes va from table and model, dropping the frame ref, and
-// checks the table handed back exactly the modelled entry.
-func (h *propHarness) unmapAt(va uint64) {
-	want := h.model[va]
-	got, ok := h.tab.Unmap(va)
+// unmapAt removes va from pt's table and model, dropping the frame ref,
+// and checks the table handed back exactly the modelled entry.
+func (h *propHarness) unmapAt(pt *propTable, va uint64) {
+	want := pt.model[va]
+	got, ok := pt.tab.Unmap(va)
 	if !ok || got != want {
 		h.t.Fatalf("Unmap(%#x) = %v, %v; model holds %v", va, got, ok, want)
 	}
 	h.phys.DecRef(got.Frame())
-	h.untrack(va)
+	pt.untrack(va)
+}
+
+// destroy tears pt's table down, dropping every frame reference it
+// releases.
+func (h *propHarness) destroy(tab *pagetable.Table) {
+	tab.Destroy(func(va uint64, e pagetable.PTE) {
+		h.phys.DecRef(e.Frame())
+	})
 }
 
 // verify walks the whole tree and compares it, entry for entry,
 // against the flat model.
 func (h *propHarness) verify(tag string, tab *pagetable.Table, model map[uint64]pagetable.PTE) {
-	seen := map[uint64]pagetable.PTE{}
+	seen, hugeCount := 0, 0
 	tab.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
-		seen[va] = e
-		return e
-	})
-	if len(seen) != len(model) {
-		h.t.Fatalf("%s: table has %d entries, model %d", tag, len(seen), len(model))
-	}
-	hugeCount := 0
-	for va, want := range model {
-		got, ok := seen[va]
+		want, ok := model[va]
 		if !ok {
-			h.t.Fatalf("%s: model entry %#x missing from table", tag, va)
+			h.t.Fatalf("%s: table entry %#x = %v not in model", tag, va, e)
 		}
-		if got != want|pagetable.FlagPresent {
-			h.t.Fatalf("%s: entry %#x = %v, model %v", tag, va, got, want|pagetable.FlagPresent)
-		}
-		if want.Huge() {
-			hugeCount++
+		if e != want|pagetable.FlagPresent {
+			h.t.Fatalf("%s: entry %#x = %v, model %v", tag, va, e, want|pagetable.FlagPresent)
 		}
 		// The point lookup must agree with the walk (TLB coherence).
-		le, ok := tab.Lookup(va)
-		if !ok || le != got {
-			h.t.Fatalf("%s: Lookup(%#x) = %v, %v; walk saw %v", tag, va, le, ok, got)
+		if le, ok := tab.Lookup(va); !ok || le != e {
+			h.t.Fatalf("%s: Lookup(%#x) = %v, %v; walk saw %v", tag, va, le, ok, e)
 		}
+		seen++
+		if e.Huge() {
+			hugeCount++
+		}
+		return e
+	})
+	if seen != len(model) {
+		h.t.Fatalf("%s: table has %d entries, model %d", tag, seen, len(model))
 	}
 	if tab.Entries() != len(model) || tab.HugeEntries() != hugeCount {
 		h.t.Fatalf("%s: counters Entries=%d HugeEntries=%d, model %d/%d",
 			tag, tab.Entries(), tab.HugeEntries(), len(model), hugeCount)
+	}
+}
+
+// verifyAll checks every live table against its model, and refcount
+// conservation over the family: each frame's effective refs equal the
+// number of table entries mapping it, and every allocated frame is
+// mapped somewhere.
+func (h *propHarness) verifyAll(tag string) {
+	tabs := make([]*pagetable.Table, len(h.tabs))
+	want := map[mem.FrameID]int32{}
+	var pages uint64
+	for i, pt := range h.tabs {
+		h.verify(tag, pt.tab, pt.model)
+		tabs[i] = pt.tab
+		for _, e := range pt.model {
+			if want[e.Frame()] == 0 {
+				pages += e.Frame().Pages()
+			}
+			want[e.Frame()]++
+		}
+	}
+	eff := pagetable.EffectiveRefs(h.phys, tabs...)
+	if len(eff) != len(want) {
+		h.t.Fatalf("%s: tables map %d frames, models %d", tag, len(eff), len(want))
+	}
+	for f, n := range want {
+		if eff[f] != n {
+			h.t.Fatalf("%s: frame %d effective refs %d, mapped by %d table entries", tag, f, eff[f], n)
+		}
+	}
+	if got := h.phys.AllocatedPages(); got != pages {
+		h.t.Fatalf("%s: %d pages allocated, models map %d", tag, got, pages)
 	}
 }
 
@@ -176,85 +228,108 @@ func cloneModels(parent map[uint64]pagetable.PTE) (newParent, child map[uint64]p
 	return newParent, child
 }
 
-// step consumes up to 4 bytes of ops and applies one operation.
+// step applies one operation to the table op selects.
 func (h *propHarness) step(op, b1 byte, r uint16) {
-	switch op % 8 {
+	pt := h.tabs[int(op/10)%len(h.tabs)]
+	switch op % 10 {
 	case 0, 1: // map a 4 KiB page
-		if len(h.model) >= maxLiveEntries {
+		if len(pt.model) >= maxLiveEntries {
 			return
 		}
 		va := va4k(b1, r)
-		if _, ok := h.model[va]; ok {
-			h.unmapAt(va) // replacing in place would leak the old frame
+		if _, ok := pt.model[va]; ok {
+			h.unmapAt(pt, va) // replacing in place would leak the old frame
 		}
 		f, err := h.phys.Alloc()
 		if err != nil {
 			return // RAM exhausted; other ops continue
 		}
 		e := pagetable.Make(f, randFlags(op))
-		h.tab.Map(va, e)
-		h.track(va, e|pagetable.FlagPresent)
+		pt.tab.Map(va, e)
+		pt.track(va, e|pagetable.FlagPresent)
 	case 2: // map a 2 MiB page
-		if len(h.model) >= maxLiveEntries {
+		if len(pt.model) >= maxLiveEntries {
 			return
 		}
 		va := vaHuge(b1, r)
-		if _, ok := h.model[va]; ok {
-			h.unmapAt(va)
+		if _, ok := pt.model[va]; ok {
+			h.unmapAt(pt, va)
 		}
 		f, err := h.phys.AllocHuge()
 		if err != nil {
 			return
 		}
 		e := pagetable.Make(f, randFlags(op))
-		h.tab.MapHuge(va, e)
-		h.track(va, e|pagetable.FlagPresent|pagetable.FlagHuge)
+		pt.tab.MapHuge(va, e)
+		pt.track(va, e|pagetable.FlagPresent|pagetable.FlagHuge)
 	case 3: // unmap a live entry
-		if va, ok := h.pick(r); ok {
-			h.unmapAt(va)
+		if va, ok := pt.pick(r); ok {
+			h.unmapAt(pt, va)
 		}
 	case 4: // rewrite a live entry's flags, keeping its frame
-		va, ok := h.pick(r)
+		va, ok := pt.pick(r)
 		if !ok {
 			return
 		}
-		old := h.model[va]
+		old := pt.model[va]
 		e := pagetable.Make(old.Frame(), randFlags(b1))
-		h.tab.Update(va, e)
+		pt.tab.Update(va, e)
 		want := e | pagetable.FlagPresent
 		if old.Huge() {
 			want |= pagetable.FlagHuge
 		}
-		h.model[va] = want
+		pt.model[va] = want
 	case 5: // point lookup, hit or miss
 		var va uint64
 		if b1&1 == 0 {
-			va, _ = h.pick(r)
+			va, _ = pt.pick(r)
 		} else {
 			va = va4k(b1, r)
 		}
-		got, ok := h.tab.Lookup(va)
-		want, wok := h.model[va]
+		got, ok := pt.tab.Lookup(va)
+		want, wok := pt.model[va]
 		if ok != wok || (ok && got != want) {
 			h.t.Fatalf("Lookup(%#x) = %v, %v; model %v, %v", va, got, ok, want, wok)
 		}
-	case 6: // COW clone: check both tables, then tear the child down
-		newParent, childModel := cloneModels(h.model)
-		child := h.tab.CloneCOW()
-		h.model = newParent
-		h.verify("post-clone parent", h.tab, newParent)
+	case 6: // COW clone: the child joins the family (or, when the
+		// family is full, is checked and torn down at once)
+		newParent, childModel := cloneModels(pt.model)
+		writes := len(pt.model) // child installs, plus parent downgrades:
+		for va, e := range pt.model {
+			if newParent[va] != e {
+				writes++
+			}
+		}
+		now, copies, nodes := h.meter.Now(), h.meter.PTECopies, h.meter.PTNodes
+		child := pt.tab.CloneCOW()
+		// The bill is the full copy, however little the host copied.
+		m := h.meter.Model
+		if child.Nodes() != pt.tab.Nodes() {
+			h.t.Fatalf("clone child has %d nodes, parent %d", child.Nodes(), pt.tab.Nodes())
+		}
+		want := cost.Ticks(writes)*m.PTEWrite + cost.Ticks(child.Nodes()+1)*m.PTNodeAlloc + 2*m.TLBFlush
+		if got := h.meter.Now() - now; got != want {
+			h.t.Fatalf("clone charged %d ticks, want %d (%d PTE writes, %d nodes)", got, want, writes, child.Nodes()+1)
+		}
+		if got := h.meter.PTECopies - copies; got != uint64(len(childModel)) {
+			h.t.Fatalf("clone counted %d PTE copies, want %d", got, len(childModel))
+		}
+		if got := h.meter.PTNodes - nodes; got != uint64(child.Nodes()+1) {
+			h.t.Fatalf("clone counted %d page-table nodes, want %d", got, child.Nodes()+1)
+		}
+		pt.model = newParent
 		h.verify("clone child", child, childModel)
-		child.Destroy(func(va uint64, e pagetable.PTE) {
-			h.phys.DecRef(e.Frame())
-		})
+		if len(h.tabs) == maxTables {
+			h.destroy(child)
+			return
+		}
+		h.tabs = append(h.tabs, &propTable{tab: child, model: childModel, vas: append([]uint64(nil), pt.vas...)})
 	case 7: // eager clone: fresh frames for private entries
-		child, err := h.tab.CloneEager()
+		child, err := pt.tab.CloneEager()
 		if err != nil {
 			// Mid-clone ENOMEM: the partial table must still tear
 			// down cleanly without corrupting refcounts.
-			child.Destroy(func(va uint64, e pagetable.PTE) {
-				h.phys.DecRef(e.Frame())
-			})
+			h.destroy(child)
 			return
 		}
 		seen := map[uint64]pagetable.PTE{}
@@ -262,10 +337,10 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 			seen[va] = e
 			return e
 		})
-		if len(seen) != len(h.model) {
-			h.t.Fatalf("eager clone: %d entries, model %d", len(seen), len(h.model))
+		if len(seen) != len(pt.model) {
+			h.t.Fatalf("eager clone: %d entries, model %d", len(seen), len(pt.model))
 		}
-		for va, want := range h.model {
+		for va, want := range pt.model {
 			got, ok := seen[va]
 			if !ok || got.Flags() != want.Flags() {
 				h.t.Fatalf("eager clone entry %#x = %v (ok=%v), want flags of %v", va, got, ok, want)
@@ -277,23 +352,49 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 				h.t.Fatalf("eager clone copied shared frame at %#x", va)
 			}
 		}
-		child.Destroy(func(va uint64, e pagetable.PTE) {
-			h.phys.DecRef(e.Frame())
+		h.destroy(child)
+	case 8: // Visit rewrite of every entry r selects
+		pt.tab.Visit(func(va uint64, e pagetable.PTE) pagetable.PTE {
+			if (va>>mem.PageShift+uint64(r))%3 != 0 {
+				return e
+			}
+			ne := pagetable.Make(e.Frame(), randFlags(b1)) | e&pagetable.FlagHuge
+			pt.model[va] = ne | pagetable.FlagPresent
+			return ne
 		})
+	case 9: // destroy a table, keeping at least one
+		if len(h.tabs) == 1 {
+			return
+		}
+		h.destroy(pt.tab)
+		for i := range h.tabs {
+			if h.tabs[i] == pt {
+				h.tabs = append(h.tabs[:i], h.tabs[i+1:]...)
+				break
+			}
+		}
 	}
 }
 
-// runOps interprets ops 4 bytes at a time, then destroys the table and
+// verifyEvery is how many steps runOps takes between whole-family
+// checks; each walks every node of every table.
+const verifyEvery = 4
+
+// runOps interprets ops 4 bytes at a time, checking the family every
+// verifyEvery steps and after the last, then destroys every table and
 // checks that every physical frame came back.
 func runOps(t testing.TB, ops []byte) {
 	h := newPropHarness(t)
 	for i := 0; i+4 <= len(ops); i += 4 {
 		h.step(ops[i], ops[i+1], uint16(ops[i+2])|uint16(ops[i+3])<<8)
+		if (i/4)%verifyEvery == verifyEvery-1 {
+			h.verifyAll("step")
+		}
 	}
-	h.verify("final", h.tab, h.model)
-	h.tab.Destroy(func(va uint64, e pagetable.PTE) {
-		h.phys.DecRef(e.Frame())
-	})
+	h.verifyAll("final")
+	for _, pt := range h.tabs {
+		h.destroy(pt.tab)
+	}
 	if got := h.phys.AllocatedPages(); got != 0 {
 		t.Fatalf("frame leak: %d pages still allocated after Destroy", got)
 	}
