@@ -237,6 +237,7 @@ func BenchmarkDemandFault(b *testing.B) {
 		return vma.Start
 	}
 	start := remap()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i > 0 && i%pages == 0 {
@@ -261,6 +262,7 @@ func BenchmarkDemandFault(b *testing.B) {
 func BenchmarkCloneCOW(b *testing.B) {
 	sys := benchSystem(b, 64*mib, false)
 	space := sys.Host().Space()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, err := space.CloneCOW()
@@ -364,6 +366,7 @@ func BenchmarkSpawnVM(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for left := b.N; left > 0; left -= 20000 {
 		if err := sys.Command("spawnloop", itoa(min(left, 20000)), "/bin/true").Run(); err != nil {

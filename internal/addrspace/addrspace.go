@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/errno"
@@ -466,6 +467,10 @@ func (s *Space) Fault(va uint64, access Access) error {
 	return nil
 }
 
+// pageInPool holds the scratch arrays demandFault reads image pages
+// through, so a page-in allocates nothing of its own.
+var pageInPool = sync.Pool{New: func() any { return new([mem.PageSize]byte) }}
+
 // demandFault populates an absent page.
 func (s *Space) demandFault(v *VMA, base uint64, access Access) error {
 	var f mem.FrameID
@@ -479,13 +484,15 @@ func (s *Space) demandFault(v *VMA, base uint64, access Access) error {
 		return err
 	}
 	if v.Backing != nil {
-		// Page in from the image. Charged per 4 KiB page read.
-		sz := int(v.pageSize())
-		buf := make([]byte, sz)
-		v.Backing.ReadAt(v.BackingOff+(base-v.Start), buf)
-		s.phys.Write(f, 0, buf)
-		n := cost.Ticks(sz / mem.PageSize)
-		s.meter.Charge(n * s.meter.Model.ImagePageIn)
+		// Page in from the image, 4 KiB at a time. Charged per 4 KiB
+		// page read.
+		buf := pageInPool.Get().(*[mem.PageSize]byte)
+		for off := 0; off < f.Size(); off += mem.PageSize {
+			v.Backing.ReadAt(v.BackingOff+(base-v.Start)+uint64(off), buf[:])
+			s.phys.Write(f, off, buf[:])
+		}
+		pageInPool.Put(buf)
+		s.meter.Charge(cost.Ticks(f.Pages()) * s.meter.Model.ImagePageIn)
 	}
 	flags := pteFlags(v.Prot)
 	if access == AccessWrite {

@@ -18,7 +18,11 @@ import "repro/internal/cost"
 // (the live machine keeps running and must not scribble on bytes the
 // template now aliases); stamping a machine out of a frozen template
 // passes false, so concurrent stamps only read the template — never
-// write it — and remain race-free without locks.
+// write it — and remain race-free without locks. A frame the source
+// has not marked is marked anyway: an array one side would write in
+// place or recycle (see dropData) must be one no other machine reads.
+// A frozen template's frames were all marked when it was made, so
+// stamping still writes nothing.
 //
 // The fault injector is deliberately not carried over: injectors are
 // bound to a meter and recorder, and the cloning kernel installs the
@@ -67,7 +71,7 @@ func (p *Physical) CloneHostInto(meter *cost.Meter, markSrc bool, scratch *Physi
 		np.data = data
 		for f, fd := range p.data {
 			np.data[f] = &frameData{bytes: fd.bytes, shared: true}
-			if markSrc {
+			if markSrc || !fd.shared {
 				fd.shared = true
 			}
 		}

@@ -2,7 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"sync"
 	"testing"
+
+	"repro/internal/cost"
 )
 
 // readFrame returns the first n bytes of f's contents.
@@ -163,5 +166,109 @@ func TestZeroFrameDropsSharing(t *testing.T) {
 	}
 	if tpl.SharedFrames() != 1 {
 		t.Errorf("template shared frames = %d, want 1", tpl.SharedFrames())
+	}
+}
+
+// TestRecyclingSparesTemplateBytes frees, zeroes and rewrites frames on
+// the live snapshot source and on clones stamped and churned in
+// parallel. Each machine may recycle only arrays it owns alone: the
+// template keeps reading its original bytes, its shared-frame count
+// never drops, and every machine reads back what it wrote itself.
+func TestRecyclingSparesTemplateBytes(t *testing.T) {
+	const n = 15
+	orig := func(i int) []byte { return bytes.Repeat([]byte{byte(i + 1)}, PageSize) }
+	src := newPhys(1<<20, 0, CommitHeuristic)
+	frames := make([]FrameID, n)
+	for i := range frames {
+		frames[i], _ = src.Alloc()
+		src.Write(frames[i], 0, orig(i))
+	}
+	tpl := src.CloneHost(src.meter, true)
+	shared := tpl.SharedFrames()
+	if shared != n {
+		t.Fatalf("template shares %d frames, want %d", shared, n)
+	}
+	checkTemplate := func(stage string) {
+		t.Helper()
+		got := make([]byte, PageSize)
+		for i, f := range frames {
+			if tpl.Read(f, 0, got); !bytes.Equal(got, orig(i)) {
+				t.Errorf("%s: template frame %d no longer reads its original bytes", stage, f)
+			}
+		}
+		if got := tpl.SharedFrames(); got < shared {
+			t.Errorf("%s: template shared frames dropped from %d to %d", stage, shared, got)
+		}
+	}
+
+	// churn frees a third of the frames outright, COW-breaks a third
+	// by writing them before freeing them, zeroes the rest, then
+	// allocates and fills fresh frames with mark, which are likely
+	// backed by the arrays just recycled.
+	churn := func(p *Physical, mark byte) error {
+		for i, f := range frames {
+			switch i % 3 {
+			case 0:
+				p.DecRef(f)
+			case 1:
+				p.Write(f, 0, []byte{mark})
+				p.DecRef(f)
+			case 2:
+				p.ZeroFrame(f)
+			}
+		}
+		fill := bytes.Repeat([]byte{mark}, PageSize)
+		var fresh []FrameID
+		for range 2 * n / 3 {
+			f, err := p.Alloc()
+			if err != nil {
+				return err
+			}
+			p.Write(f, 0, fill)
+			fresh = append(fresh, f)
+		}
+		got := make([]byte, PageSize)
+		for _, f := range fresh {
+			if p.Read(f, 0, got); !bytes.Equal(got, fill) {
+				t.Errorf("machine %#x: frame %d lost its own write", mark, f)
+			}
+		}
+		return nil
+	}
+
+	if err := churn(src, 0xee); err != nil {
+		t.Fatal(err)
+	}
+	checkTemplate("after the source's churn")
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(mark byte) {
+			defer wg.Done()
+			c := tpl.CloneHost(cost.NewMeter(cost.DefaultModel()), false)
+			if err := churn(c, mark); err != nil {
+				t.Error(err)
+			}
+		}(byte(0xc0 + w))
+	}
+	wg.Wait()
+	checkTemplate("after parallel clones' churn")
+}
+
+// TestStampOfUnmarkedSourceMarksIt covers the one way an aliased array
+// could reach the recycle pool: stamping (markSrc false) a source whose
+// frames were never marked. CloneHost marks them anyway, so the source
+// freeing and reusing its frames never reaches the clone's bytes.
+func TestStampOfUnmarkedSourceMarksIt(t *testing.T) {
+	src := newPhys(1<<20, 0, CommitHeuristic)
+	f, _ := src.Alloc()
+	src.Write(f, 0, []byte("stamped"))
+	c := src.CloneHost(cost.NewMeter(cost.DefaultModel()), false)
+	src.DecRef(f)
+	g, _ := src.Alloc()
+	src.Write(g, 0, []byte("scribble"))
+	if got := readFrame(c, f, 7); !bytes.Equal(got, []byte("stamped")) {
+		t.Errorf("clone reads %q after the source recycled the frame, want %q", got, "stamped")
 	}
 }

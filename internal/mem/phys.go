@@ -8,10 +8,17 @@
 // lets the simulator model multi-gigabyte address spaces without
 // allocating gigabytes of host memory, while still charging the
 // virtual-time cost of zeroing and copying.
+//
+// A materialised 4 KiB frame's byte array is recycled through a pool
+// when the frame is freed or zeroed, so a short-lived process that
+// pages in an image and exits leaves no garbage per page. Only arrays
+// this Physical owns alone are pooled; one host-COW-shared with a
+// template or clone (see CloneHost) never is.
 package mem
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/cost"
 	"repro/internal/errno"
@@ -73,6 +80,37 @@ type frame struct {
 type frameData struct {
 	bytes  []byte
 	shared bool
+}
+
+// pagePool recycles 4 KiB frame arrays between frames and machines. A
+// pooled array is always zero (dropData clears it on the way in), so
+// a partial write to a freshly materialised frame still reads zero
+// elsewhere. sync.Pool keeps this safe for machines running on
+// parallel host goroutines.
+var pagePool = sync.Pool{New: func() any { return new([PageSize]byte) }}
+
+// newBytes returns zeroed backing for a frame of the given size: a
+// pooled array for a 4 KiB frame, a fresh one for a huge frame.
+func newBytes(size int) []byte {
+	if size != PageSize {
+		return make([]byte, size)
+	}
+	return pagePool.Get().(*[PageSize]byte)[:]
+}
+
+// dropData forgets f's contents, so it reads as zeroes again. A 4 KiB
+// array only this Physical holds goes back to the pool.
+func (p *Physical) dropData(f FrameID) {
+	fd := p.data[f]
+	if fd == nil {
+		return
+	}
+	delete(p.data, f)
+	if !fd.shared && !f.IsHuge() {
+		a := (*[PageSize]byte)(fd.bytes)
+		clear(a[:])
+		pagePool.Put(a)
+	}
 }
 
 // CommitPolicy selects how commit (reservation) accounting behaves.
@@ -334,7 +372,7 @@ func (p *Physical) DecRef(f FrameID) bool {
 	if fr.refs > 0 {
 		return false
 	}
-	delete(p.data, f)
+	p.dropData(f)
 	if f.IsHuge() {
 		*fr = frame{}
 		p.hfree = append(p.hfree, f)
@@ -388,7 +426,7 @@ func (p *Physical) Write(f FrameID, off int, data []byte) {
 		if allZero {
 			return
 		}
-		fd = &frameData{bytes: make([]byte, f.Size())}
+		fd = &frameData{bytes: newBytes(f.Size())}
 		if p.data == nil {
 			p.data = map[FrameID]*frameData{}
 		}
@@ -398,7 +436,7 @@ func (p *Physical) Write(f FrameID, off int, data []byte) {
 		// sharing by copying the bytes out. Free — the simulated
 		// machine already paid its COW break (or owns the frame
 		// exclusively); only the host representation was shared.
-		nd := make([]byte, f.Size())
+		nd := newBytes(f.Size())
 		copy(nd, fd.bytes)
 		fd.bytes = nd
 		fd.shared = false
@@ -441,7 +479,7 @@ func (p *Physical) CopyFrame(src FrameID) (FrameID, error) {
 		return NoFrame, err
 	}
 	if srcData != nil {
-		nd := make([]byte, src.Size())
+		nd := newBytes(src.Size())
 		copy(nd, srcData)
 		if p.data == nil {
 			p.data = map[FrameID]*frameData{}
@@ -455,7 +493,7 @@ func (p *Physical) CopyFrame(src FrameID) (FrameID, error) {
 // within an address space, e.g. exec tearing down the old image).
 func (p *Physical) ZeroFrame(f FrameID) {
 	p.live(f)
-	delete(p.data, f)
+	p.dropData(f)
 	if f.IsHuge() {
 		p.meter.Charge(p.meter.Model.HugeZero)
 		p.meter.PageZeroes += FramesPerHuge

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,39 @@ func TestLazyMaterialisation(t *testing.T) {
 		if buf[i] != b {
 			t.Errorf("read[%d] = %d, want %d", i, buf[i], b)
 		}
+	}
+}
+
+// TestRecycledFrameReadsZero pins that a frame array recycled from a
+// freed or zeroed frame carries none of its old bytes: a new frame
+// written only at bytes 100–107 reads zero everywhere else.
+func TestRecycledFrameReadsZero(t *testing.T) {
+	p := newPhys(1<<20, 0, CommitHeuristic)
+	junk := bytes.Repeat([]byte{0xa5}, PageSize)
+	want := make([]byte, PageSize)
+	copy(want[100:], "8 bytes!")
+	got := make([]byte, PageSize)
+	for round := 0; round < 8; round++ {
+		f, _ := p.Alloc()
+		p.Write(f, 0, junk)
+		if round%2 == 1 {
+			p.ZeroFrame(f)
+		}
+		p.DecRef(f)
+		g, err := p.Alloc()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Write(g, 100, want[100:108])
+		p.Read(g, 0, got)
+		if !bytes.Equal(got, want) {
+			i := 0
+			for got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("round %d: recycled frame byte %d = %#x, want %#x", round, i, got[i], want[i])
+		}
+		p.DecRef(g)
 	}
 }
 

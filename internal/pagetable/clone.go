@@ -60,14 +60,12 @@ func (t *Table) freeze(n *node, level int, phys *mem.Physical) *node {
 	}
 	if n.links > 1 {
 		n = t.own(n)
-		for i := range n.ptes {
-			if n.ptes[i].Present() {
-				phys.IncRef(n.ptes[i].Frame())
-			}
+		for i := range n.slots {
+			phys.IncRef(n.ptes[i].Frame())
 		}
 	}
 	if level > 0 {
-		for i := 0; i < entriesPerNode; i++ {
+		for i := range n.slots {
 			if n.kids[i] != nil {
 				n.kids[i] = t.freeze(n.kids[i], level-1, phys)
 			}

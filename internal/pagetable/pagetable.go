@@ -17,10 +17,16 @@
 // copy (and its own frame references) before it writes through one.
 // This is the host-side form of On-demand-fork (Zhao, Gong, Fonseca,
 // EuroSys'21), which shares last-level page tables at fork.
+//
+// Every whole-tree walk — clone, destroy, Visit, freeze — visits only
+// the populated slots of each node, found through the node's occupancy
+// bitmap (node.used), so a sparse table costs what it maps, not 512
+// slots per node.
 package pagetable
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"repro/internal/cost"
@@ -141,19 +147,53 @@ type node struct {
 	// before writing it (own).
 	links int32
 
-	// present counts the present entries; writable counts those a COW
-	// downgrade rewrites (present, private and writable). CloneCOW
-	// bills a leaf from these without reading its entries. Every entry
-	// write goes through set to keep them exact.
-	present, writable int32
+	// writable counts the entries a COW downgrade rewrites (present,
+	// private and writable). CloneCOW bills a leaf from it and from
+	// present without reading the leaf's entries. Every entry write
+	// goes through set to keep it and used exact.
+	writable int32
+
+	// used is the occupancy bitmap: bit i is set iff slot i holds a kid
+	// or a present PTE. Walks visit only the set bits, in ascending
+	// order (slots), so their order, and that of every release and
+	// frame free they drive, is a dense scan's. It sits beside
+	// writable, which set also writes.
+	used [entriesPerNode / 64]uint64
 }
 
-// set writes slot i, keeping the node's entry counts exact.
+// set writes slot i, keeping the node's writable count and occupancy
+// bit exact. The bit flips with the present bit: a slot that holds a
+// PTE holds no kid.
 func (n *node) set(i int, e PTE) {
 	old := n.ptes[i]
 	n.ptes[i] = e
-	n.present += int32(e&FlagPresent) - int32(old&FlagPresent)
 	n.writable += cowable(e) - cowable(old)
+	n.used[i>>6] ^= uint64((e^old)&FlagPresent) << (i & 63)
+}
+
+// present counts a leaf's present entries: its used slots.
+func (n *node) present() uint64 {
+	c := 0
+	for _, w := range n.used {
+		c += bits.OnesCount64(w)
+	}
+	return uint64(c)
+}
+
+// mark sets slot i's occupancy bit, for a kid being installed.
+func (n *node) mark(i int) { n.used[i>>6] |= 1 << (i & 63) }
+
+// slots yields the used slots in ascending order. Walks range over it
+// (for i := range n.slots), and the compiler inlines both the iterator
+// and the loop body, so a walk costs O(used slots), not 512.
+func (n *node) slots(yield func(int) bool) {
+	for w := range n.used {
+		for word := n.used[w]; word != 0; word &= word - 1 {
+			if !yield(w<<6 | bits.TrailingZeros64(word)) {
+				return
+			}
+		}
+	}
 }
 
 // cowable is 1 if a COW downgrade rewrites e (present, private and
@@ -189,9 +229,10 @@ func (n *node) shared() bool { return n.links == 0 }
 // they are written.
 func ownedCopy(n *node) *node {
 	c := newNode()
+	c.used = n.used
 	c.ptes = n.ptes
 	c.kids = n.kids
-	c.present, c.writable = n.present, n.writable
+	c.writable = n.writable
 	return c
 }
 
@@ -221,10 +262,8 @@ func (t *Table) own(n *node) *node {
 func (t *Table) unshare(n *node) *node {
 	c := ownedCopy(n)
 	if !n.shared() {
-		for i := range c.ptes {
-			if c.ptes[i].Present() {
-				t.phys.IncRef(c.ptes[i].Frame())
-			}
+		for i := range c.slots {
+			t.phys.IncRef(c.ptes[i].Frame())
 		}
 		n.links--
 	}
@@ -236,7 +275,8 @@ func (t *Table) unshare(n *node) *node {
 // without pooling that is an 8 KiB host allocation each, and at tens of
 // thousands of creations the garbage collector dominates the
 // simulator's own run time. Nodes are returned zeroed (destroyNode
-// clears every slot and count as it walks), so Get only sets links.
+// clears every used slot, the bitmap and the writable count as it
+// walks), so Get only sets links.
 // sync.Pool keeps this safe under `go test -race` with parallel tests.
 var nodePool = sync.Pool{New: func() any { return new(node) }}
 
@@ -325,7 +365,7 @@ func (t *Table) Map(va uint64, e PTE) {
 		if level == 1 && n.ptes[i].Present() && n.ptes[i].Huge() {
 			panic(fmt.Sprintf("pagetable: 4K map %#x overlaps huge mapping", va))
 		}
-		n = t.ownKid(&n.kids[i])
+		n = t.ownKid(n, i)
 	}
 	i := index(va, 0)
 	if !n.ptes[i].Present() {
@@ -345,7 +385,7 @@ func (t *Table) MapHuge(va uint64, e PTE) {
 	t.root = t.own(t.root)
 	n := t.root
 	for level := Levels - 1; level > 1; level-- {
-		n = t.ownKid(&n.kids[index(va, level)])
+		n = t.ownKid(n, index(va, level))
 	}
 	i := index(va, 1)
 	if n.kids[i] != nil {
@@ -360,29 +400,30 @@ func (t *Table) MapHuge(va uint64, e PTE) {
 	t.FlushTLB()
 }
 
-// ownKid returns the child in slot, owned by this table (see own) and
-// relinked, allocating and charging a fresh node if there is none. The
-// slot's node must already be owned.
-func (t *Table) ownKid(slot **node) *node {
-	kid := *slot
-	if kid == nil || kid.links != 1 {
-		kid = t.relinkKid(slot)
+// ownKid returns n's child in slot i, owned by this table (see own)
+// and relinked, allocating and charging a fresh node, and marking the
+// slot used, if there is none. n must already be owned. The named
+// result keeps the check within the inlining budget (cost 79 of 80).
+func (t *Table) ownKid(n *node, i int) (kid *node) {
+	if kid = n.kids[i]; kid == nil || kid.links != 1 {
+		kid = t.relinkKid(n, i)
 	}
-	return kid
+	return
 }
 
 // relinkKid is ownKid's slow path.
-func (t *Table) relinkKid(slot **node) *node {
-	kid := *slot
+func (t *Table) relinkKid(n *node, i int) *node {
+	kid := n.kids[i]
 	if kid == nil {
 		kid = newNode()
+		n.mark(i)
 		t.nodes++
 		t.meter.Charge(t.meter.Model.PTNodeAlloc)
 		t.meter.PTNodes++
 	} else {
 		kid = t.unshare(kid)
 	}
-	*slot = kid
+	n.kids[i] = kid
 	return kid
 }
 
@@ -423,7 +464,7 @@ func (t *Table) ownSlot(va uint64) (n *node, i int, huge bool) {
 		if n.kids[i] == nil {
 			return nil, 0, false
 		}
-		n = t.ownKid(&n.kids[i])
+		n = t.ownKid(n, i)
 	}
 	i = index(va, 0)
 	if !n.ptes[i].Present() {
@@ -525,13 +566,9 @@ func (t *Table) Visit(fn func(va uint64, e PTE) PTE) {
 func (t *Table) visit(n *node, base uint64, level int, fn func(uint64, PTE) PTE) (*node, bool) {
 	changed := false
 	span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
-	for i := 0; i < entriesPerNode; i++ {
+	for i := range n.slots {
 		va := base + uint64(i)*span
-		if level == 0 || (level == 1 && n.ptes[i].Present() && n.ptes[i].Huge()) {
-			e := n.ptes[i]
-			if !e.Present() {
-				continue
-			}
+		if e := n.ptes[i]; e.Present() && (level == 0 || e.Huge()) {
 			ne := fn(va, e)
 			if ne != e {
 				n = t.own(n)
@@ -541,15 +578,14 @@ func (t *Table) visit(n *node, base uint64, level int, fn func(uint64, PTE) PTE)
 			}
 			continue
 		}
-		if kid := n.kids[i]; kid != nil {
-			nk, ch := t.visit(kid, va, level-1, fn)
-			if nk != kid {
-				n = t.own(n)
-				n.kids[i] = nk
-			}
-			if ch {
-				changed = true
-			}
+		kid := n.kids[i]
+		nk, ch := t.visit(kid, va, level-1, fn)
+		if nk != kid {
+			n = t.own(n)
+			n.kids[i] = nk
+		}
+		if ch {
+			changed = true
 		}
 	}
 	return n, changed
@@ -609,9 +645,11 @@ func (t *Table) CloneCOW() *Table {
 // cloneNode mirrors interior node pn into cn. It returns the
 // parent-side node it cloned through — pn itself, or an owned copy when
 // pn was template-shared and had to change — so the caller (and
-// CloneCOW for the root) can relink it into the parent table.
+// CloneCOW for the root) can relink it into the parent table. The walk
+// keeps ranging over the original pn's slots after a copy: the copy
+// occupies the same ones.
 func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
-	for i := 0; i < entriesPerNode; i++ {
+	for i := range pn.slots {
 		if e := pn.ptes[i]; level == 1 && e.Present() && e.Huge() {
 			c.phys.IncRef(e.Frame())
 			if s := cowShare(e); s != e {
@@ -627,10 +665,8 @@ func (c *Table) cloneNode(pn, cn *node, level int, cc *cloneCounts) *node {
 			continue
 		}
 		kid := pn.kids[i]
-		if kid == nil {
-			continue
-		}
 		cc.nodes++
+		cn.mark(i)
 		var nk *node
 		if level == 1 {
 			nk = shareLeaf(kid, cc)
@@ -661,17 +697,15 @@ func shareLeaf(l *node, cc *cloneCounts) *node {
 		l = ownedCopy(l)
 	}
 	if l.writable > 0 {
-		for i := range l.ptes {
-			if e := l.ptes[i]; e.Present() {
-				l.ptes[i] = cowShare(e)
-			}
+		for i := range l.slots {
+			l.ptes[i] = cowShare(l.ptes[i])
 		}
 		cc.writes += uint64(l.writable)
 		l.writable = 0
 	}
 	l.links++
-	cc.writes += uint64(l.present)
-	cc.copies += uint64(l.present)
+	cc.writes += l.present()
+	cc.copies += l.present()
 	return l
 }
 
@@ -692,12 +726,8 @@ func (t *Table) CloneEager() (*Table, error) {
 }
 
 func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
-	for i := 0; i < entriesPerNode; i++ {
-		if level == 0 || (level == 1 && pn.ptes[i].Present() && pn.ptes[i].Huge()) {
-			e := pn.ptes[i]
-			if !e.Present() {
-				continue
-			}
+	for i := range pn.slots {
+		if e := pn.ptes[i]; e.Present() && (level == 0 || e.Huge()) {
 			if e.Shared() {
 				c.phys.IncRef(e.Frame())
 				cn.set(i, e)
@@ -716,9 +746,7 @@ func (c *Table) cloneEagerNode(pn, cn *node, level int, cc *cloneCounts) error {
 			}
 			continue
 		}
-		if pn.kids[i] == nil {
-			continue
-		}
+		cn.mark(i)
 		cn.kids[i] = newNode()
 		cc.nodes++
 		if err := c.cloneEagerNode(pn.kids[i], cn.kids[i], level-1, cc); err != nil {
@@ -759,8 +787,9 @@ type destroyCounts struct {
 	freed, kept uint64
 }
 
-// destroyNode zeroes every slot and count as it walks, so each node
-// goes back to the pool fully cleared and newNode need only set links.
+// destroyNode zeroes every used slot, the bitmap and the writable count
+// as it walks, so each node goes back to the pool fully cleared and
+// newNode need only set links.
 // The per-node free cost is accumulated into dc and charged in one
 // batch by Destroy. Template-shared nodes are left untouched and
 // unpooled — other tables still alias them — but their frees are still
@@ -769,11 +798,11 @@ type destroyCounts struct {
 // are the frees of fork-shared leaves, which are only unlinked.
 func (t *Table) destroyNode(n *node, base uint64, level int, release func(uint64, PTE), dc *destroyCounts) {
 	span := uint64(1) << (mem.PageShift + uint(level)*LevelBits)
-	for i := 0; i < entriesPerNode; i++ {
+	for i := range n.slots {
 		va := base + uint64(i)*span
-		if level == 0 || (level == 1 && n.ptes[i].Present() && n.ptes[i].Huge()) {
-			if n.ptes[i].Present() && release != nil {
-				release(va, n.ptes[i])
+		if e := n.ptes[i]; e.Present() && (level == 0 || e.Huge()) {
+			if release != nil {
+				release(va, e)
 			}
 			if !n.shared() {
 				n.ptes[i] = 0
@@ -781,13 +810,10 @@ func (t *Table) destroyNode(n *node, base uint64, level int, release func(uint64
 			continue
 		}
 		kid := n.kids[i]
-		if kid == nil {
-			continue
-		}
 		dc.freed++
 		if kid.links > 1 {
 			kid.links--
-			dc.kept += uint64(kid.present)
+			dc.kept += kid.present()
 		} else {
 			t.destroyNode(kid, va, level-1, release, dc)
 			if !kid.shared() {
@@ -799,6 +825,7 @@ func (t *Table) destroyNode(n *node, base uint64, level int, release func(uint64
 		}
 	}
 	if !n.shared() {
-		n.present, n.writable = 0, 0
+		n.used = [len(n.used)]uint64{}
+		n.writable = 0
 	}
 }

@@ -10,12 +10,14 @@ import (
 )
 
 // The property test drives a family of up to maxTables live Tables
-// through random map/update/rewrite/clone/unmap/destroy sequences —
-// including huge-page and COW-flag interactions, and writes through
-// page-table leaves that CloneCOW left shared between a parent and its
-// live children — and checks every table against its own flat map model
-// of what the radix tree should contain, together with frame refcount
-// conservation across the family, every few steps and at the end. The
+// through random map/update/rewrite/clone/unmap/destroy/freeze
+// sequences — including huge-page and COW-flag interactions, writes
+// through page-table leaves that CloneCOW left shared between a parent
+// and its live children, and writes through nodes a template snapshot
+// froze — and checks every table against its own flat map model of what
+// the radix tree should contain, together with frame refcount
+// conservation across the family and every node's occupancy bitmap and
+// entry counts, every few steps and at the end. The
 // same interpreter backs the fuzz target below, so a crashing byte
 // string found by `go test -fuzz=FuzzTableOps` replays here verbatim.
 //
@@ -28,6 +30,7 @@ import (
 const (
 	maxLiveEntries = 1500
 	maxTables      = 4
+	maxFrozen      = 2
 	propRAM        = uint64(2) << 30
 )
 
@@ -43,6 +46,11 @@ type propHarness struct {
 	meter *cost.Meter
 	phys  *mem.Physical
 	tabs  []*propTable
+
+	// frozen holds template snapshots (CloneHost with markSrc) of
+	// family tables, each with the model it was frozen at: whatever the
+	// family does later, a template must not change.
+	frozen []*propTable
 }
 
 func newPropHarness(t testing.TB) *propHarness {
@@ -204,6 +212,13 @@ func (h *propHarness) verifyAll(tag string) {
 	if got := h.phys.AllocatedPages(); got != pages {
 		h.t.Fatalf("%s: %d pages allocated, models map %d", tag, got, pages)
 	}
+	for _, ft := range h.frozen {
+		h.verify(tag+" template", ft.tab, ft.model)
+		tabs = append(tabs, ft.tab)
+	}
+	if err := pagetable.CheckNodes(tabs...); err != nil {
+		h.t.Fatalf("%s: %v", tag, err)
+	}
 }
 
 // cloneModels derives the post-CloneCOW parent and child models: both
@@ -230,8 +245,8 @@ func cloneModels(parent map[uint64]pagetable.PTE) (newParent, child map[uint64]p
 
 // step applies one operation to the table op selects.
 func (h *propHarness) step(op, b1 byte, r uint16) {
-	pt := h.tabs[int(op/10)%len(h.tabs)]
-	switch op % 10 {
+	pt := h.tabs[int(op/11)%len(h.tabs)]
+	switch op % 11 {
 	case 0, 1: // map a 4 KiB page
 		if len(pt.model) >= maxLiveEntries {
 			return
@@ -373,6 +388,19 @@ func (h *propHarness) step(op, b1 byte, r uint16) {
 				break
 			}
 		}
+	case 10: // snapshot the table into a frozen template, as a machine
+		// snapshot does: the template binds to a clone of the physical
+		// memory and every node on both sides becomes template-shared
+		tphys := h.phys.CloneHost(cost.NewMeter(cost.DefaultModel()), true)
+		tpl := pt.tab.CloneHost(tphys, cost.NewMeter(cost.DefaultModel()), true)
+		model := make(map[uint64]pagetable.PTE, len(pt.model))
+		for va, e := range pt.model {
+			model[va] = e
+		}
+		if len(h.frozen) == maxFrozen {
+			h.frozen = h.frozen[1:]
+		}
+		h.frozen = append(h.frozen, &propTable{tab: tpl, model: model})
 	}
 }
 
@@ -382,7 +410,8 @@ const verifyEvery = 4
 
 // runOps interprets ops 4 bytes at a time, checking the family every
 // verifyEvery steps and after the last, then destroys every table and
-// checks that every physical frame came back.
+// checks that every physical frame came back and that the nodes the
+// teardown pooled came back zeroed.
 func runOps(t testing.TB, ops []byte) {
 	h := newPropHarness(t)
 	for i := 0; i+4 <= len(ops); i += 4 {
@@ -397,6 +426,9 @@ func runOps(t testing.TB, ops []byte) {
 	}
 	if got := h.phys.AllocatedPages(); got != 0 {
 		t.Fatalf("frame leak: %d pages still allocated after Destroy", got)
+	}
+	if err := pagetable.CheckNodes(); err != nil {
+		t.Fatalf("after Destroy: %v", err)
 	}
 }
 

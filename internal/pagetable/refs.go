@@ -27,10 +27,10 @@ func walkNodes(tables []*Table, fn func(e PTE, links int32)) {
 		}
 		seen[n] = true
 		links := max(n.links, 1)
-		for i := 0; i < entriesPerNode; i++ {
+		for i := range n.slots {
 			if e := n.ptes[i]; e.Present() && (level == 0 || e.Huge()) {
 				fn(e, links)
-			} else if level > 0 && n.kids[i] != nil {
+			} else {
 				walk(n.kids[i], level-1)
 			}
 		}

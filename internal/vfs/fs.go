@@ -81,13 +81,11 @@ func (ino *Inode) SetData(b []byte) {
 // ReadAt implements addrspace.Backing-style reads with zero-fill past
 // EOF, so executable images can be demand-paged straight from a file.
 func (ino *Inode) ReadAt(off uint64, buf []byte) {
-	for i := range buf {
-		buf[i] = 0
+	n := 0
+	if off < uint64(len(ino.data)) {
+		n = copy(buf, ino.data[off:])
 	}
-	if off >= uint64(len(ino.data)) {
-		return
-	}
-	copy(buf, ino.data[off:])
+	clear(buf[n:])
 }
 
 // FS is the filesystem: a tree of inodes rooted at "/".

@@ -51,6 +51,32 @@ func TestPathResolution(t *testing.T) {
 	}
 }
 
+// TestInodeReadAt pins ReadAt's contract for image paging: the file's
+// bytes where it has them and zeroes past EOF, whatever the buffer
+// held before.
+func TestInodeReadAt(t *testing.T) {
+	ino := &Inode{Type: TypeFile}
+	ino.SetData([]byte("abcdef"))
+	for _, tc := range []struct {
+		name string
+		off  uint64
+		n    int
+		want string
+	}{
+		{"inside", 1, 3, "bcd"},
+		{"to EOF", 2, 4, "cdef"},
+		{"straddles EOF", 4, 5, "ef\x00\x00\x00"},
+		{"at EOF", 6, 3, "\x00\x00\x00"},
+		{"past EOF", 100, 2, "\x00\x00"},
+	} {
+		buf := bytes.Repeat([]byte{0xff}, tc.n)
+		ino.ReadAt(tc.off, buf)
+		if string(buf) != tc.want {
+			t.Errorf("%s: ReadAt(%d, [%d]) = %q, want %q", tc.name, tc.off, tc.n, buf, tc.want)
+		}
+	}
+}
+
 func TestCreateTruncatesAndRemove(t *testing.T) {
 	fs := NewFS()
 	ino, err := fs.Create(nil, "/f")
